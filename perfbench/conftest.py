@@ -1,0 +1,6 @@
+"""Run the benchmark's own tests against this checkout's fecapsim sources."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
