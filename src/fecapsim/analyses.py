@@ -10,13 +10,15 @@ set integrates in one vectorized pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .params import DeviceParams, N_DEPL_PRISTINE, ParamsBatch
 from .solver import (
+    _TS_COLUMNS,
+    _TS_EXTRAS,
     SolveStats,
     SolverConfig,
     TimeSeries,
@@ -161,12 +163,7 @@ def hysteresis(params: DeviceParams, amplitude: float, frequency: float,
 
 
 def _kinetics_pulse_cfg(width: float, base: SolverConfig) -> SolverConfig:
-    dt = min(max(width / 32.0, 2e-9), base.dt)
-    return SolverConfig(dt=dt, newton_tol_v=base.newton_tol_v,
-                        newton_tol_i=base.newton_tol_i,
-                        max_newton_iters=base.max_newton_iters,
-                        max_step_halvings=base.max_step_halvings,
-                        p_init=base.p_init, record_every=base.record_every)
+    return replace(base, dt=min(max(width / 32.0, 2e-9), base.dt))
 
 
 def switching_kinetics_batch(pb: ParamsBatch, amplitude, widths: Sequence[float],
@@ -184,12 +181,9 @@ def switching_kinetics_batch(pb: ParamsBatch, amplitude, widths: Sequence[float]
     if cfg is None:
         cfg = SolverConfig(dt=1e-6)
     amplitude = np.broadcast_to(np.asarray(amplitude, dtype=np.float64), (pb.n,))
-    preset_cfg = SolverConfig(
-        dt=min(preset_width / 500.0, cfg.dt) if preset_width > 0 else cfg.dt,
-        newton_tol_v=cfg.newton_tol_v, newton_tol_i=cfg.newton_tol_i,
-        max_newton_iters=cfg.max_newton_iters,
-        max_step_halvings=cfg.max_step_halvings,
-        p_init=cfg.p_init, record_every=10**9)
+    preset_cfg = replace(
+        cfg, dt=min(preset_width / 500.0, cfg.dt) if preset_width > 0 else cfg.dt,
+        record_every=10**9)
     wf_preset = from_segments(VOLTAGE, [
         (edge, preset_v), (preset_width, preset_v), (edge, 0.0), (settle, 0.0),
     ])
@@ -232,9 +226,7 @@ def switching_kinetics(params: DeviceParams, amplitudes: Sequence[float],
 def _concat_batches(parts):
     """Concatenate phase TimeSeriesBatch records, dropping repeated joints."""
     arrays = {}
-    names = ("t", "v_appl", "i", "p", "pol", "v_fe", "v_int", "phi_depl",
-             "j_pf", "j_fn", "j_pol", "loop_residual", "kcl_residual")
-    for name in names:
+    for name in _TS_COLUMNS + _TS_EXTRAS:
         chunks = [getattr(parts[0], name)]
         for part in parts[1:]:
             chunks.append(getattr(part, name)[1:])

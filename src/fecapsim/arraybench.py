@@ -71,13 +71,13 @@ def _chunk_sizes(n: int, chunk: int):
 
 
 def _run_chunk(params: DeviceParams, size: int, wf: Waveform, cfg: SolverConfig,
-               mc: Optional[tuple], mc_offset: int, n_total: int):
+               mc: Optional[tuple], mc_offset: int):
     """Integrate one chunk; returns (stats, final polarization of device 0)."""
     if mc is None:
         pb = ParamsBatch.from_params(params, size)
     else:
         dist, seed = mc
-        rngs = _trial_rngs(seed, n_total)[mc_offset:mc_offset + size]
+        rngs = _trial_rngs(seed, mc_offset, mc_offset + size)
         pb = ParamsBatch.from_list([sample_params(params, dist, r) for r in rngs])
     ts = run_transient_batch(pb, wf, cfg)
     return ts.stats, float(ts.pol[-1, 0])
@@ -113,7 +113,7 @@ def run_array_bench(params: DeviceParams, sizes: Sequence[int],
             raise ValueError("array sizes must be >= 1")
         csizes = _chunk_sizes(n, chunk)
         offsets = np.cumsum([0] + csizes[:-1])
-        args = [(params, c, wf, cfg, mc, int(off), n)
+        args = [(params, c, wf, cfg, mc, int(off))
                 for c, off in zip(csizes, offsets)]
         stats = SolveStats()
         steps_first = 0

@@ -69,6 +69,10 @@ def _load_scenario(args, kind: str) -> Scenario:
     scen = parse_scenario(text, kind=kind)
     if args.dt is not None:
         scen.solver["dt"] = float(args.dt)
+        try:
+            SolverConfig(**scen.solver)
+        except ValueError as err:
+            raise _UsageError(f"--dt: {err}") from None
     if args.seed is not None:
         scen.mc = replace(scen.mc, seed=int(args.seed))
     return scen
@@ -234,6 +238,8 @@ def main(argv=None) -> int:
         return 0
 
     try:
+        if args.workers < 1:
+            raise _UsageError("--workers must be >= 1")
         scen = _load_scenario(args, args.command)
         out = _out_dir(args, scen)
         _write_manifest(out, scen, argv)

@@ -116,9 +116,14 @@ def sample_params(base: DeviceParams, dist: McDistribution,
     return out
 
 
-def _trial_rngs(seed: int, n_trials: int):
-    children = np.random.SeedSequence(seed).spawn(n_trials)
-    return [np.random.Generator(np.random.PCG64(c)) for c in children]
+def _trial_rngs(seed: int, start: int, stop: int):
+    """Generators of trials [start, stop).
+
+    Trial i gets child i of ``SeedSequence(seed).spawn``, built from its
+    spawn key so that a chunk never spawns the children before it.
+    """
+    keys = (np.random.SeedSequence(seed, spawn_key=(i,)) for i in range(start, stop))
+    return [np.random.Generator(np.random.PCG64(k)) for k in keys]
 
 
 @dataclass(frozen=True)
@@ -179,9 +184,9 @@ def _output_shapes(spec: ScenarioSpec) -> dict:
 
 
 def _run_chunk(spec: ScenarioSpec, base: DeviceParams, dist: McDistribution,
-               seed: int, n_trials: int, start: int, stop: int):
+               seed: int, start: int, stop: int):
     """Run trials [start, stop); returns (outputs, failed local indices, samples)."""
-    rngs = _trial_rngs(seed, n_trials)[start:stop]
+    rngs = _trial_rngs(seed, start, stop)
     trials = [sample_params(base, dist, rng) for rng in rngs]
     samples = {e.name: np.array([_dist_value(p, e.name) for p in trials])
                for e in dist.entries}
@@ -244,7 +249,7 @@ def run_mc(spec: ScenarioSpec, base: DeviceParams, dist: McDistribution,
         raise ValueError("n_trials must be >= 1")
     bounds = [(s, min(s + _TRIAL_CHUNK, n_trials))
               for s in range(0, n_trials, _TRIAL_CHUNK)]
-    args = [(spec, base, dist, seed, n_trials, a, b) for a, b in bounds]
+    args = [(spec, base, dist, seed, a, b) for a, b in bounds]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_chunk_star, args))

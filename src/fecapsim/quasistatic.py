@@ -10,18 +10,19 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
-from .params import DeviceParams, ParamsBatch
+from .params import DeviceParams
 from .physics import c_layer, j_fn, j_pf, p_steady_state, phi_depl
-from .solver import SolverConfig, _newton, run_transient
+from .solver import SolverConfig, _root, run_transient
 from .waveform import Waveform
 
-# Probe tolerances for the frozen-p C-V solve.
-_CV_TOL_V = 1e-12      # loop residual, V
-_CV_TOL_Q = 1e-13      # charge-balance residual, C/m^2
+# Tolerance (V) on the Newton correction of the DC and C-V solves, and on
+# the loop residual of the C-V probe; iteration budget of both.
+_TOL_V = 1e-12
+_MAX_ITERS = 50
 
 
 class DcConvergenceError(RuntimeError):
@@ -46,57 +47,23 @@ def _dc_mismatch(v_fe, bias, params):
     return j_pf(e_fe, params) - j_fn(v_int / params.t_int, params)
 
 
-def _dc_residuals(v_fe, bias, params, tol_i):
-    e_fe = v_fe / params.t_fe
-    v_int = _dc_vint(v_fe, bias, params)
-    r_loop = 0.0  # loop satisfied exactly by construction of v_int
-    r_cur = params.area * _dc_mismatch(v_fe, bias, params)
-    return r_loop, float(r_cur), float(v_int)
-
-
 def _solve_bias(bias: float, params: DeviceParams, guess_v_fe: float,
                 tol_i: float) -> tuple[float, float]:
     """Solve one DC bias point; returns (v_fe, v_int).
 
     The loop equation is eliminated analytically, leaving a scalar
-    current-balance root-find in V_fe solved by scan plus bisection; a
-    short-circuit accepts the continuation guess if it already balances.
+    current-balance root-find in V_fe, started from the continuation guess.
     """
-    _, r_cur, v_int = _dc_residuals(guess_v_fe, bias, params, tol_i)
-    if abs(r_cur) < tol_i:
-        return guess_v_fe, v_int
 
-    lo = min(0.0, bias) - 3.0
-    hi = max(0.0, bias) + 3.0
-    grid = np.linspace(lo, hi, 2001)
-    f = _dc_mismatch(grid, bias, params)
-    exact = np.flatnonzero(f == 0.0)
-    sign_change = np.flatnonzero(f[:-1] * f[1:] < 0.0)
-    candidates = []
-    for i in exact:
-        candidates.append((grid[i], grid[i]))
-    for i in sign_change:
-        candidates.append((grid[i], grid[i + 1]))
-    if not candidates:
-        raise DcConvergenceError(bias, " (no current-balance bracket found)")
-    a, b = min(candidates, key=lambda iv: abs(0.5 * (iv[0] + iv[1]) - guess_v_fe))
-    if a != b:
-        fa = _dc_mismatch(a, bias, params)
-        for _ in range(100):
-            mid = 0.5 * (a + b)
-            fm = _dc_mismatch(mid, bias, params)
-            if fm == 0.0:
-                a = b = mid
-                break
-            if (fm < 0.0) == (fa < 0.0):
-                a, fa = mid, fm
-            else:
-                b = mid
-    v_fe = 0.5 * (a + b)
-    _, r_cur, v_int = _dc_residuals(v_fe, bias, params, tol_i)
-    if abs(r_cur) >= tol_i:
-        raise DcConvergenceError(bias, f" (|KCL| = {abs(r_cur):.3e} A)")
-    return float(v_fe), v_int
+    def mismatch(v_fe):
+        return params.area * _dc_mismatch(v_fe, bias, params), ()
+
+    v_fe, r_cur, conv, _, _ = _root(mismatch, np.array([guess_v_fe]), tol_i,
+                                    _TOL_V, _MAX_ITERS)
+    if not conv[0]:
+        raise DcConvergenceError(bias, f" (|KCL| = {abs(r_cur[0]):.3e} A)")
+    v_fe = float(v_fe[0])
+    return v_fe, float(_dc_vint(v_fe, bias, params))
 
 
 def dc_sweep(params: DeviceParams, v_start: float, v_stop: float,
@@ -124,28 +91,6 @@ def dc_sweep(params: DeviceParams, v_start: float, v_stop: float,
     return out
 
 
-class _ProbeAux(NamedTuple):
-    q_int: np.ndarray
-
-
-def _probe_fun(pb, p_frozen, v_fe0, v_int0, bias, c_fe, c_int):
-    """Residuals of the frozen-p probe at the shifted bias.
-
-    Unknowns (V_fe, V_int); equations: voltage loop at the probe bias and
-    charge continuity through the series stack with the polarization frozen
-    (C_fe dV_fe = C_int dV_int).
-    """
-
-    def fun(x):
-        v_fe = x[:, 0]
-        v_int = x[:, 1]
-        r_loop = bias - v_fe - v_int - phi_depl(p_frozen, v_fe, pb, v_fe / pb.t_fe)
-        r_q = c_fe * (v_fe - v_fe0) - c_int * (v_int - v_int0)
-        return np.stack([r_loop, r_q], axis=1), _ProbeAux(c_int * v_int)
-
-    return fun
-
-
 def small_signal_cv(params: DeviceParams, bias_waveform: Waveform,
                     delta_v: float = 10e-3,
                     cfg: Optional[SolverConfig] = None):
@@ -160,22 +105,26 @@ def small_signal_cv(params: DeviceParams, bias_waveform: Waveform,
     if delta_v <= 0.0:
         raise ValueError("delta_v must be > 0")
     ts = run_transient(params, bias_waveform, cfg)
-    n = len(ts)
-    pb = ParamsBatch.from_params(params, n)
-    c_fe = c_layer(params.eps_fe, params.t_fe)
     c_int = c_layer(params.eps_int, params.t_int)
-    tol = np.broadcast_to(np.array([_CV_TOL_V, _CV_TOL_Q]), (n, 2)).copy()
+    ratio = c_layer(params.eps_fe, params.t_fe) / c_int
+
+    def v_int_of(v_fe):
+        # Charge continuity with p frozen: C_fe dV_fe = C_int dV_int.
+        return ts.v_int + ratio * (v_fe - ts.v_fe)
 
     q = {}
     for sign in (+1.0, -1.0):
         bias = ts.v_appl + sign * delta_v
-        fun = _probe_fun(pb, ts.p, ts.v_fe, ts.v_int, bias, c_fe, c_int)
-        x0 = np.stack([ts.v_fe, ts.v_int + sign * delta_v], axis=1)
-        x, conv, _iters, _r, aux = _newton(fun, x0, tol, 50)
+
+        def loop(v_fe):
+            phi = phi_depl(ts.p, v_fe, params, v_fe / params.t_fe)
+            return bias - v_fe - v_int_of(v_fe) - phi, ()
+
+        v_fe, _, conv, _, _ = _root(loop, ts.v_fe, _TOL_V, _TOL_V, _MAX_ITERS)
         if not conv.all():
             bad = int(np.flatnonzero(~conv)[0])
             raise DcConvergenceError(float(ts.v_appl[bad]),
                                      " (C-V probe did not converge)")
-        q[sign] = aux.q_int
+        q[sign] = c_int * v_int_of(v_fe)
     c = params.area * (q[+1.0] - q[-1.0]) / (2.0 * delta_v)
     return [(float(v), float(ci)) for v, ci in zip(ts.v_appl, c)]

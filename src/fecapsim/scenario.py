@@ -395,6 +395,11 @@ def parse_scenario(text: str, kind: Optional[str] = None) -> Scenario:
             raise ScenarioError("transient times and values must have equal length")
     if kind_for_drive == "bench":
         drive["sizes"] = tuple(int(s) for s in drive["sizes"])
+        if any(s < 1 for s in drive["sizes"]):
+            raise ScenarioError("sizes: array sizes must be >= 1",
+                                sections["drive"]["sizes"][1])
+        if drive["chunk"] < 1:
+            raise ScenarioError("chunk: must be >= 1", sections["drive"]["chunk"][1])
 
     # [solver]
     solver = {k: spec[1] for k, spec in SOLVER_KEYS.items()}

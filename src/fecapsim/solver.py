@@ -5,13 +5,24 @@ displacement source, Poole-Frenkel leakage) in series with the interface
 branch (layer capacitance, Fowler-Nordheim leakage) in series with the
 depletion element, whose potential is an algebraic function of the state.
 
-Each time step solves, by damped Newton iteration with a finite-difference
-Jacobian, for the internal split (V_fe, V_int) - plus the terminal voltage
-V_appl under current drive - such that the voltage loop closes and the two
-branch currents match. The polarization state is advanced semi-implicitly:
-the exact exponential solution of the rate equation over the step, with
-rates frozen at the trial end-of-step field. On Newton failure the step is
-halved and the two halves solved recursively.
+Each time step solves for the internal split (V_fe, V_int) - plus the
+terminal voltage V_appl under current drive - such that the voltage loop
+closes and the two branch currents match. The polarization state is
+advanced semi-implicitly: the exact exponential solution of the rate
+equation over the step, with rates frozen at the trial end-of-step field.
+
+Every implicit solve reduces exactly to one scalar equation per device:
+- voltage drive: the loop gives V_int from V_fe, leaving the KCL mismatch
+  as an equation in V_fe;
+- current drive: the interface branch alone fixes V_int (its current must
+  equal the drive); V_fe then makes the ferroelectric branch carry the same
+  current, and V_appl follows from the loop;
+- the t = 0 split: V_fe + phi_depl(p0, V_fe) = V_appl(0) with V_int = 0.
+All of them go through :func:`_root`, a bracketed Newton iteration whose
+slope comes from a forward-difference probe evaluated in the same call.
+Each device iterates on its own and stops once converged, so its result
+never depends on the rest of the batch. When a step does not converge the
+failing devices halve it and solve the two halves recursively.
 
 Everything is vectorized over a device axis: a batch of n independent
 devices advances in one pass, and a single device is just n = 1.
@@ -38,20 +49,26 @@ from .waveform import CURRENT, VOLTAGE, Waveform
 
 # Reference area for the default KCL tolerance scaling.
 _TOL_I_REF_AREA = 25e-12  # m^2
-# Largest Newton update per unknown per iteration, volts.
+# Largest Newton update per iteration, volts.
 _MAX_NEWTON_STEP = 50.0
-# Relative finite-difference perturbation for the Jacobian.
+# Relative forward-difference offset of the slope probe.
 _FD_RELATIVE = 1e-7
-# Damping halvings tried before an iteration is declared non-improving.
-_N_DAMP = 6
+# Tolerance (V) and iteration budget of the t = 0 split.
+_SPLIT_TOL_V = 1e-12
+_SPLIT_MAX_ITERS = 100
 
 
 @dataclass
 class SolverConfig:
     """Integration and Newton-iteration settings.
 
-    ``newton_tol_i = None`` scales the default 1e-12 A tolerance by
-    device area / 25 um^2 at solve time.
+    A step is accepted for a device when each of its scalar solves ends at
+    a point whose Newton correction is at most ``newton_tol_v`` (volts: on
+    V_fe, and on V_int under current drive) and whose current mismatch is
+    at most ``newton_tol_i`` (amperes: the internal-node KCL residual, and
+    under current drive the terminal-current residual). The voltage loop
+    holds by construction. ``newton_tol_i = None`` scales the default
+    1e-12 A tolerance by device area / 25 um^2 at solve time.
     """
 
     dt: float = 1e-7
@@ -124,19 +141,13 @@ class _State(NamedTuple):
     v_int: np.ndarray
     v_app: np.ndarray
 
-    def gather(self, idx) -> "_State":
-        return _State(self.p[idx], self.v_fe[idx], self.v_int[idx], self.v_app[idx])
-
-    def scatter(self, idx, sub: "_State") -> "_State":
-        p, v_fe, v_int, v_app = (a.copy() for a in self)
-        p[idx], v_fe[idx], v_int[idx], v_app[idx] = sub
-        return _State(p, v_fe, v_int, v_app)
-
 
 class _StepAux(NamedTuple):
-    """Per-device diagnostics of a converged (or trial) step."""
+    """Per-device quantities of a converged (or trial) step."""
 
     p_n: np.ndarray
+    v_int: np.ndarray
+    v_app: np.ndarray
     phi: np.ndarray
     j_pf: np.ndarray
     j_fn: np.ndarray
@@ -145,14 +156,13 @@ class _StepAux(NamedTuple):
     r_loop: np.ndarray
     r_kcl: np.ndarray
 
-    def gather(self, idx):
-        return _StepAux(*(a[idx] for a in self))
 
-    def scatter(self, idx, sub):
-        out = [a.copy() for a in self]
-        for a, s in zip(out, sub):
-            a[idx] = s
-        return _StepAux(*out)
+def _scatter(full, idx, sub):
+    """Copy of the per-device arrays *full* with entries *idx* taken from *sub*."""
+    out = [a.copy() for a in full]
+    for a, s in zip(out, sub):
+        a[idx] = s
+    return full._make(out)
 
 
 _TS_COLUMNS = ("t", "v_appl", "i", "p", "pol", "v_fe", "v_int",
@@ -223,175 +233,131 @@ class TimeSeriesBatch:
         return TimeSeries(t=self.t.copy(), stats=self.stats, **cols)
 
 
-def _tolerances(pb: ParamsBatch, cfg: SolverConfig, m: int) -> np.ndarray:
-    tol_i = (cfg.newton_tol_i if cfg.newton_tol_i is not None
-             else 1e-12 * pb.area / _TOL_I_REF_AREA)
-    tol = np.empty((pb.n, m))
-    tol[:, 0] = cfg.newton_tol_v
-    tol[:, 1] = tol_i
-    if m == 3:
-        tol[:, 2] = tol_i
-    return tol
+def _root(fun, x0: np.ndarray, tol_f, tol_x, max_iters: int):
+    """Safeguarded Newton on one scalar equation f(x) = 0 per device.
+
+    ``fun`` takes trial points of shape (2, n), the iterates and a
+    forward-difference probe above them, and returns (f, aux): f of the same
+    shape and a tuple of arrays shaped like it. A device converges once
+    |f| <= tol_f and its Newton correction |f/f'| <= tol_x, and is frozen
+    from then on. Each device keeps a sign bracket of the points it has
+    seen; a Newton step that leaves the bracket bisects it instead.
+
+    Returns (x, f, converged mask, iterations, aux at x).
+    """
+    x = np.array(x0, dtype=np.float64)
+    x_neg = np.full_like(x, np.nan)
+    x_pos = np.full_like(x, np.nan)
+    iters = 0
+    while True:
+        h = _FD_RELATIVE * np.maximum(np.abs(x), 1.0)
+        f2, aux = fun(np.stack([x, x + h]))
+        f = f2[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dx = f * h / (f2[0] - f2[1])
+        dx = np.where(np.isfinite(dx), dx, 0.0)
+        conv = (np.abs(f) <= tol_f) & (np.abs(dx) <= tol_x)
+        if iters == max_iters or conv.all():
+            return x, f, conv, iters, tuple(a[0] for a in aux)
+        iters += 1
+        x_neg = np.where(f < 0.0, x, x_neg)
+        x_pos = np.where(f > 0.0, x, x_pos)
+        x_new = x + np.clip(dx, -_MAX_NEWTON_STEP, _MAX_NEWTON_STEP)
+        lo, hi = np.minimum(x_neg, x_pos), np.maximum(x_neg, x_pos)
+        # lo <= hi only once both sides of the root are known.
+        bisect = (lo <= hi) & ~((lo < x_new) & (x_new < hi))
+        x_new = np.where(bisect, 0.5 * (x_neg + x_pos), x_new)
+        x = np.where(conv, x, x_new)
 
 
-def _make_step_fun(pb: ParamsBatch, prev: _State, dt: float, drive_end, mode: str):
-    """Residuals of the implicit step as a function of the unknown vector.
+def _make_step(pb: ParamsBatch, prev: _State, dt: float):
+    """Branch quantities of the implicit step from *prev*; returns (at, interface).
 
-    Unknowns: (V_fe, V_int) under voltage drive, (V_fe, V_int, V_appl) under
-    current drive. Residual components: voltage loop (V), internal-node KCL
-    (A), and in current mode the terminal-current mismatch (A).
+    ``at`` takes V_fe and V_int (V_appl then follows from the loop), V_fe
+    and V_appl (V_int follows from the loop), or all three (the loop
+    residual is whatever the trial leaves). ``interface`` gives (j_fn,
+    interface branch current density) at a trial V_int. Trial arrays may
+    carry a leading axis in front of the device axis.
     """
     c_fe = c_layer(pb.eps_fe, pb.t_fe)
     c_int = c_layer(pb.eps_int, pb.t_int)
     inv_dt = 1.0 / dt
-    p_prev, v_fe_prev, v_int_prev = prev.p, prev.v_fe, prev.v_int
 
-    def fun(x):
-        v_fe = x[:, 0]
-        v_int = x[:, 1]
-        v_app = drive_end if mode == VOLTAGE else x[:, 2]
-        e_fe = v_fe / pb.t_fe
-        rates = transition_rates(e_fe, pb)
-        p_n = p_step(p_prev, rates, dt)
-        phi = phi_depl(p_n, v_fe, pb, e_fe)
-        jpf = j_pf(e_fe, pb)
+    def interface(v_int):
         jfn = j_fn(v_int / pb.t_int, pb)
-        j_pol = 2.0 * pb.P_s * (p_n - p_prev) * inv_dt
-        j_fe = c_fe * (v_fe - v_fe_prev) * inv_dt + j_pol + jpf
-        j_int = c_int * (v_int - v_int_prev) * inv_dt + jfn
+        return jfn, c_int * (v_int - prev.v_int) * inv_dt + jfn
+
+    def at(v_fe, v_int=None, v_app=None) -> _StepAux:
+        e_fe = v_fe / pb.t_fe
+        p_n = p_step(prev.p, transition_rates(e_fe, pb), dt)
+        phi = phi_depl(p_n, v_fe, pb, e_fe)
+        v_int = np.broadcast_to(v_app - v_fe - phi if v_int is None else v_int,
+                                v_fe.shape)
+        v_app = np.broadcast_to(v_fe + v_int + phi if v_app is None else v_app,
+                                v_fe.shape)
+        jpf = j_pf(e_fe, pb)
+        jfn, j_int = interface(v_int)
+        j_pol = 2.0 * pb.P_s * (p_n - prev.p) * inv_dt
+        j_fe = c_fe * (v_fe - prev.v_fe) * inv_dt + j_pol + jpf
         r_loop = v_app - v_fe - v_int - phi
-        r_kcl = pb.area * (j_fe - j_int)
-        if mode == VOLTAGE:
-            r = np.stack([r_loop, r_kcl], axis=1)
-        else:
-            r = np.stack([r_loop, r_kcl, pb.area * j_int - drive_end], axis=1)
-        aux = _StepAux(p_n, phi, jpf, jfn, j_pol, pb.area * j_int, r_loop, r_kcl)
-        return r, aux
+        return _StepAux(p_n, v_int, v_app, phi, jpf, jfn, j_pol, pb.area * j_int,
+                        r_loop, pb.area * (j_fe - j_int))
 
-    return fun
+    return at, interface
 
 
-def _solve_linear(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Batched 2x2/3x3 solve by Cramer's rule; shapes (n,m,m) and (n,m)."""
-    m = rhs.shape[1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if m == 2:
-            a, b = jac[:, 0, 0], jac[:, 0, 1]
-            c, d = jac[:, 1, 0], jac[:, 1, 1]
-            det = a * d - b * c
-            x0 = (rhs[:, 0] * d - rhs[:, 1] * b) / det
-            x1 = (a * rhs[:, 1] - c * rhs[:, 0]) / det
-            return np.stack([x0, x1], axis=1)
-        a, b, c = jac[:, 0, 0], jac[:, 0, 1], jac[:, 0, 2]
-        d, e, f = jac[:, 1, 0], jac[:, 1, 1], jac[:, 1, 2]
-        g, h, k = jac[:, 2, 0], jac[:, 2, 1], jac[:, 2, 2]
-        det = a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
-        r0, r1, r2 = rhs[:, 0], rhs[:, 1], rhs[:, 2]
-        x0 = (r0 * (e * k - f * h) - b * (r1 * k - f * r2) + c * (r1 * h - e * r2)) / det
-        x1 = (a * (r1 * k - f * r2) - r0 * (d * k - f * g) + c * (d * r2 - r1 * g)) / det
-        x2 = (a * (e * r2 - r1 * h) - b * (d * r2 - r1 * g) + r0 * (d * h - e * g)) / det
-        return np.stack([x0, x1, x2], axis=1)
+def _solve_step(pb: ParamsBatch, st: _State, dt: float, drive_end: np.ndarray,
+                mode: str, cfg: SolverConfig):
+    """One implicit step as scalar root-finds; returns (state, aux, conv, iters).
 
-
-def _scaled_norm(r: np.ndarray, tol: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(r) / tol, axis=1)
-
-
-def _merge_aux(take: np.ndarray, new, old):
-    return type(old)(*(np.where(take, a_new, a_old) for a_new, a_old in zip(new, old)))
-
-
-def _newton(fun, x0: np.ndarray, tol: np.ndarray, max_iters: int):
-    """Damped Newton on the batched residual system.
-
-    Returns (x, converged mask, iterations, residuals, aux); converged
-    devices are frozen while the rest keep iterating.
+    Under current drive V_int is solved first, from the interface branch
+    alone carrying the drive current; V_fe then balances the internal-node
+    KCL in both modes.
     """
-    n, m = x0.shape
-    x = x0.copy()
-    r, aux = fun(x)
-    norm = _scaled_norm(r, tol)
-    conv = norm <= 1.0
-    iters = 0
-    jac = None
-    jac_age = 0
-    while iters < max_iters and not conv.all():
-        iters += 1
-        if jac is None or jac_age >= 2:
-            delta = _FD_RELATIVE * np.maximum(np.abs(x), 1.0)
-            jac = np.empty((n, m, m))
-            for j in range(m):
-                xp = x.copy()
-                xp[:, j] += delta[:, j]
-                rp, _ = fun(xp)
-                jac[:, :, j] = (rp - r) / delta[:, j][:, None]
-            jac_age = 0
-        dx = _solve_linear(jac, -r)
-        dx = np.where(np.isfinite(dx), dx, 0.0)
-        np.clip(dx, -_MAX_NEWTON_STEP, _MAX_NEWTON_STEP, out=dx)
-        dx[conv] = 0.0
+    tol_i = (cfg.newton_tol_i if cfg.newton_tol_i is not None
+             else 1e-12 * pb.area / _TOL_I_REF_AREA)
+    at, interface = _make_step(pb, st, dt)
+    v_int, v_app = None, drive_end
+    conv, iters = True, 0
+    if mode == CURRENT:
+        def terminal(v):
+            return pb.area * interface(v)[1] - drive_end, ()
 
-        alpha = np.ones(n)
-        accepted = conv.copy()
-        for _ in range(_N_DAMP + 1):
-            if accepted.all():
-                break
-            x_t = np.where(accepted[:, None], x, x + alpha[:, None] * dx)
-            r_t, aux_t = fun(x_t)
-            norm_t = _scaled_norm(r_t, tol)
-            take = ((norm_t < norm) | (norm_t <= 1.0)) & ~accepted
-            if take.any():
-                x = np.where(take[:, None], x_t, x)
-                r = np.where(take[:, None], r_t, r)
-                norm = np.where(take, norm_t, norm)
-                aux = _merge_aux(take, aux_t, aux)
-                accepted |= take
-            alpha = np.where(accepted, alpha, 0.5 * alpha)
-        conv = norm <= 1.0
-        if not accepted.any():
-            if jac_age == 0:
-                # Fresh Jacobian and no device improved at any damping:
-                # hand over to step halving.
-                break
-            jac = None
-            continue
-        jac_age += 1
-    return x, conv, iters, r, aux
+        v_int, _, conv, iters, _ = _root(terminal, st.v_int, tol_i,
+                                         cfg.newton_tol_v, cfg.max_newton_iters)
+        v_app = None
+
+    def kcl(v_fe):
+        aux = at(v_fe, v_int, v_app)
+        return aux.r_kcl, aux
+
+    v_fe, _, conv_fe, iters_fe, aux = _root(kcl, st.v_fe, tol_i, cfg.newton_tol_v,
+                                            cfg.max_newton_iters)
+    aux = _StepAux(*aux)
+    st_new = _State(aux.p_n, v_fe, aux.v_int, aux.v_app)
+    return st_new, aux, conv & conv_fe, iters + iters_fe
 
 
-def _initial_state(pb: ParamsBatch, v_app0: np.ndarray, p_init) -> _State:
+def _initial_state(pb: ParamsBatch, v_app0: np.ndarray, p_init, t0: float) -> _State:
     """Internal split consistent with the drive at t = 0.
 
     Convention: the interface capacitor starts discharged (V_int = 0) and
     V_fe absorbs the depolarization potential of the preset polarization,
-    i.e. V_fe solves V_fe + phi_depl(p0, V_fe) = V_appl(0). Solved by
-    bracketed bisection, which is immune to the piecewise denominator floor.
+    i.e. V_fe solves V_fe + phi_depl(p0, V_fe) = V_appl(0).
     """
     p0 = np.broadcast_to(np.asarray(p_init, dtype=np.float64), (pb.n,)).copy()
 
-    def g(v):
-        return v + phi_depl(p0, v, pb, v / pb.t_fe) - v_app0
+    def loop(v):
+        return v + phi_depl(p0, v, pb, v / pb.t_fe) - v_app0, ()
 
-    lo = v_app0 - 25.0
-    hi = v_app0 + 25.0
-    glo, ghi = g(lo), g(hi)
-    for _ in range(8):
-        bad = glo * ghi > 0.0
-        if not bad.any():
-            break
-        lo = np.where(bad, lo - 50.0, lo)
-        hi = np.where(bad, hi + 50.0, hi)
-        glo, ghi = g(lo), g(hi)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        neg = (gm < 0.0) == (glo < 0.0)
-        lo = np.where(neg, mid, lo)
-        glo = np.where(neg, gm, glo)
-        hi = np.where(neg, hi, mid)
-    v_fe0 = 0.5 * (lo + hi)
-    v_int0 = np.zeros(pb.n)
-    return _State(p0, v_fe0, v_int0, v_app0.astype(np.float64).copy())
+    v_fe0, r, conv, _, _ = _root(loop, v_app0, _SPLIT_TOL_V, _SPLIT_TOL_V,
+                                 _SPLIT_MAX_ITERS)
+    if not conv.all():
+        bad = np.flatnonzero(~conv)
+        raise StepFailureError(t=t0, dt=0.0,
+                               loop_residual=float(np.max(np.abs(r[bad]))),
+                               kcl_residual=0.0, device_indices=bad)
+    return _State(p0, v_fe0, np.zeros(pb.n), v_app0.astype(np.float64).copy())
 
 
 def _advance(pb: ParamsBatch, st: _State, t0: float, dt: float, drive_at,
@@ -400,44 +366,34 @@ def _advance(pb: ParamsBatch, st: _State, t0: float, dt: float, drive_at,
     """Advance every device by exactly *dt*, halving locally on failure."""
     drive_end = np.broadcast_to(np.asarray(drive_at(t0 + dt, cols), dtype=np.float64),
                                 (pb.n,))
-    fun = _make_step_fun(pb, st, dt, drive_end, mode)
-    if mode == VOLTAGE:
-        x0 = np.stack([st.v_fe, st.v_int], axis=1)
-        m = 2
-    else:
-        x0 = np.stack([st.v_fe, st.v_int, st.v_app], axis=1)
-        m = 3
-    tol = _tolerances(pb, cfg, m)
-    x, conv, iters, r, aux = _newton(fun, x0, tol, cfg.max_newton_iters)
+    st_new, aux, conv, iters = _solve_step(pb, st, dt, drive_end, mode, cfg)
     stats.steps += 1
     stats.newton_iters += iters
-
-    v_app_new = drive_end if mode == VOLTAGE else x[:, 2]
-    st_new = _State(aux.p_n.copy(), x[:, 0].copy(), x[:, 1].copy(),
-                    np.asarray(v_app_new, dtype=np.float64).copy())
     if conv.all():
         return st_new, aux
 
+    bad = np.flatnonzero(~conv)
     if depth <= 0:
-        bad = np.flatnonzero(~conv)
+        kcl = np.abs(aux.r_kcl[bad])
+        if mode == CURRENT:
+            kcl = np.maximum(kcl, np.abs(aux.i_term[bad] - drive_end[bad]))
         raise StepFailureError(
             t=t0 + dt, dt=dt,
-            loop_residual=float(np.max(np.abs(r[bad, 0]))),
-            kcl_residual=float(np.max(np.abs(r[bad, 1]))),
+            loop_residual=float(np.max(np.abs(aux.r_loop[bad]))),
+            kcl_residual=float(np.max(kcl)),
             device_indices=cols[bad],
         )
 
     stats.halvings += 1
-    bad = np.flatnonzero(~conv)
     sub_pb = pb.slice(bad)
-    sub_st = st.gather(bad)
+    sub_st = _State(*(a[bad] for a in st))
     sub_cols = cols[bad]
     half = 0.5 * dt
     st_a, _ = _advance(sub_pb, sub_st, t0, half, drive_at, mode, cfg,
                        depth - 1, stats, sub_cols)
     st_b, aux_b = _advance(sub_pb, st_a, t0 + half, half, drive_at, mode, cfg,
                            depth - 1, stats, sub_cols)
-    return st_new.scatter(bad, st_b), aux.scatter(bad, aux_b)
+    return _scatter(st_new, bad, st_b), _scatter(aux, bad, aux_b)
 
 
 def _record_row(out: dict, row: int, t: float, st: _State, aux: _StepAux):
@@ -485,7 +441,7 @@ def run_transient_batch(pb: ParamsBatch, wf: Waveform,
     else:
         v_drive0 = drive_at(grid[0], cols_all)
         v_app0 = v_drive0 if wf.mode == VOLTAGE else np.zeros(n)
-        st = _initial_state(pb, v_app0, cfg.p_init)
+        st = _initial_state(pb, v_app0, cfg.p_init, grid[0])
 
     n_steps = grid.size - 1
     rec_idx = [0] + [k for k in range(1, n_steps + 1)
@@ -497,14 +453,13 @@ def run_transient_batch(pb: ParamsBatch, wf: Waveform,
     stats = SolveStats()
 
     e_fe0 = st.v_fe / pb.t_fe
+    phi0 = phi_depl(st.p, st.v_fe, pb, e_fe0)
+    j_fn0 = j_fn(st.v_int / pb.t_int, pb)
     aux0 = _StepAux(
-        p_n=st.p,
-        phi=phi_depl(st.p, st.v_fe, pb, e_fe0),
-        j_pf=j_pf(e_fe0, pb),
-        j_fn=j_fn(st.v_int / pb.t_int, pb),
-        j_pol=np.zeros(n),
-        i_term=pb.area * j_fn(st.v_int / pb.t_int, pb),
-        r_loop=st.v_app - st.v_fe - st.v_int - phi_depl(st.p, st.v_fe, pb, e_fe0),
+        p_n=st.p, v_int=st.v_int, v_app=st.v_app, phi=phi0,
+        j_pf=j_pf(e_fe0, pb), j_fn=j_fn0, j_pol=np.zeros(n),
+        i_term=pb.area * j_fn0,
+        r_loop=st.v_app - st.v_fe - st.v_int - phi0,
         r_kcl=np.zeros(n),
     )
     _record_row(out, 0, grid[0], st, aux0)
@@ -551,7 +506,7 @@ def solve_timestep(state: DeviceState, dt: float, drive_value: float,
                    mode: str = VOLTAGE) -> DeviceState:
     """Advance one device by *dt* under a constant drive value.
 
-    Newton iteration on the implicit step; on non-convergence the step is
+    Scalar Newton root-finds on the implicit step; on non-convergence the step is
     halved and retried, up to ``max_step_halvings`` levels deep. Raises
     :class:`StepFailureError` if the budget is exhausted.
     """
@@ -596,11 +551,11 @@ def step_residual(state_next: DeviceState, state_prev: DeviceState, dt: float,
         v_int=np.array([state_prev.v_int], dtype=np.float64),
         v_app=np.array([0.0]),
     )
-    drive_end = np.array([drive_value], dtype=np.float64)
-    fun = _make_step_fun(pb, prev, dt, drive_end, mode)
-    if mode == VOLTAGE:
-        x = np.array([[state_next.v_fe, state_next.v_int]])
-    else:
-        x = np.array([[state_next.v_fe, state_next.v_int, v_appl_trial]])
-    r, _aux = fun(x)
-    return tuple(float(v) for v in r[0])
+    at, _ = _make_step(pb, prev, dt)
+    v_app = drive_value if mode == VOLTAGE else v_appl_trial
+    aux = at(np.array([state_next.v_fe]), np.array([state_next.v_int]),
+             np.array([v_app], dtype=np.float64))
+    r = (aux.r_loop, aux.r_kcl)
+    if mode == CURRENT:
+        r += (aux.i_term - drive_value,)
+    return tuple(float(v[0]) for v in r)

@@ -60,6 +60,34 @@ def test_parse_error_exit_1(tmp_path):
     assert "t_fe" in cp.stderr
 
 
+def assert_clean_usage_error(cp):
+    assert cp.returncode == 1
+    assert any(line.startswith("error:") for line in cp.stderr.splitlines())
+    assert "Traceback" not in cp.stderr
+
+
+def test_negative_dt_override_exit_1(tmp_path):
+    cp = run_cli("hysteresis", "--dt", "-1", "--out", str(tmp_path))
+    assert_clean_usage_error(cp)
+    assert "dt" in cp.stderr
+
+
+def test_zero_workers_exit_1(tmp_path):
+    cp = run_cli("mc", "--workers", "0", "--out", str(tmp_path))
+    assert_clean_usage_error(cp)
+    assert "--workers" in cp.stderr
+
+
+def test_bench_zero_size_exit_1(tmp_path):
+    scen = tmp_path / "scen.cfg"
+    for text in ("[drive]\nchunk = 4\nsizes = 4, 0\n",
+                 "[drive]\nsizes = 4\nchunk = 0\n"):
+        scen.write_text(text)
+        cp = run_cli("bench", "--scenario", str(scen), "--out", str(tmp_path))
+        assert_clean_usage_error(cp)
+        assert "line 3" in cp.stderr
+
+
 def test_kind_mismatch_exit_1(tmp_path):
     scen = tmp_path / "scen.cfg"
     scen.write_text("[scenario]\nkind = hysteresis\n")

@@ -84,6 +84,14 @@ def test_run_mc_reproducible(base, quick_spec):
         assert np.array_equal(a.samples[k], b.samples[k])
 
 
+def test_trial_streams_match_full_spawn():
+    # a chunk builds only its own trial streams, equal to a full spawn's
+    children = np.random.SeedSequence(99).spawn(150)
+    want = [np.random.Generator(np.random.PCG64(c)).random(3) for c in children[128:]]
+    got = [g.random(3) for g in montecarlo._trial_rngs(99, 128, 150)]
+    assert np.array_equal(want, got)
+
+
 def test_run_mc_workers_match_serial(base, quick_spec):
     dist = McDistribution.table_21c()
     a = fc.run_mc(quick_spec, base, dist, 6, seed=7, workers=1)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fecapsim as fc
+from fecapsim.arraybench import bench_waveform
 from fecapsim.params import ParamsBatch
 from fecapsim.solver import run_transient_batch
 from fecapsim.waveform import CURRENT, from_segments, hold, rect_pulse, triangle
@@ -114,15 +115,22 @@ def test_determinism_bit_identical(params):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
-def test_batch_matches_single_bitwise(params):
-    cfg = fc.SolverConfig(dt=2e-6)
-    wf = triangle(3.0, 1e3, 2)
-    single = fc.run_transient(params, wf, cfg)
-    batch = run_transient_batch(ParamsBatch.from_params(params, 3), wf, cfg)
-    for name in ("i", "p", "pol", "v_fe", "v_int"):
-        col = getattr(batch, name)
-        assert np.array_equal(col[:, 0], getattr(single, name))
-        assert np.array_equal(col[:, 0], col[:, 2])
+def test_batch_matches_single_bitwise():
+    # every device of a heterogeneous batch reproduces its lone run bit for
+    # bit, under voltage and under current drive
+    rng = np.random.default_rng(21)
+    base = fc.DeviceParams(area=25e-12)
+    devices = [fc.sample_params(base, fc.McDistribution.table_21c(), rng)
+               for _ in range(6)]
+    drives = [(triangle(3.0, 1e3, 2), fc.SolverConfig(dt=2e-6)),
+              (bench_waveform(250e-9, 10e-6, 30e-6, 10e-9), fc.SolverConfig(dt=2e-7))]
+    for wf, cfg in drives:
+        batch = run_transient_batch(ParamsBatch.from_list(devices), wf, cfg)
+        for k, dev in enumerate(devices):
+            single = fc.run_transient(dev, wf, cfg)
+            for name in ("p", "pol", "v_fe", "v_int", "v_appl", "i"):
+                assert np.array_equal(getattr(batch, name)[:, k],
+                                      getattr(single, name)), (wf.mode, k, name)
 
 
 def test_step_failure_carries_time_and_residuals(params):
@@ -256,3 +264,56 @@ def test_converged_step_matches_bisection_oracle(params):
     r = fc.step_residual(out, prev, dt, v_appl, params)
     assert abs(r[0]) < 1e-9
     assert abs(r[1]) < 1e-12 * params.area / 25e-12
+
+
+def test_converged_current_step_matches_bisection_oracle(params):
+    # independent route to the 3-unknown implicit step under current drive:
+    # for a trial V_appl, solve the voltage-driven step by bisecting its KCL
+    # mismatch in V_fe (V_int from the loop); then bisect V_appl until the
+    # terminal current equals the drive
+    from fecapsim.physics import j_fn, j_pf, p_step, phi_depl, transition_rates
+
+    prev = fc.DeviceState(p=0.0, v_fe=0.35, v_int=0.0)
+    dt, current = 1e-6, 2e-5
+    c_fe = fc.c_layer(params.eps_fe, params.t_fe)
+    c_int = fc.c_layer(params.eps_int, params.t_int)
+
+    def split(v_fe, v_appl):
+        e_fe = v_fe / params.t_fe
+        p_n = float(p_step(prev.p, transition_rates(e_fe, params), dt))
+        v_int = v_appl - v_fe - float(phi_depl(p_n, v_fe, params, e_fe))
+        j_int = (c_int * (v_int - prev.v_int) / dt
+                 + float(j_fn(v_int / params.t_int, params)))
+        j_fe = (c_fe * (v_fe - prev.v_fe) / dt
+                + 2 * params.P_s * (p_n - prev.p) / dt
+                + float(j_pf(e_fe, params)))
+        return p_n, v_int, j_fe - j_int, params.area * j_int
+
+    def bisect(g, lo, hi):
+        assert g(lo) < 0 < g(hi)
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if g(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    def v_fe_at(v_appl):
+        return bisect(lambda v: split(v, v_appl)[2], -10.0, 10.0)
+
+    v_appl = bisect(lambda va: split(v_fe_at(va), va)[3] - current, -10.0, 10.0)
+    v_fe = v_fe_at(v_appl)
+    p_n, v_int, _, _ = split(v_fe, v_appl)
+
+    cfg = fc.SolverConfig(dt=dt, max_step_halvings=0)
+    out = fc.solve_timestep(prev, dt, current, params, cfg, mode=CURRENT)
+    assert out.v_fe == pytest.approx(v_fe, abs=1e-9)
+    assert out.v_int == pytest.approx(v_int, abs=1e-9)
+    assert out.p == pytest.approx(p_n, abs=1e-9)
+    r = fc.step_residual(out, prev, dt, current, params, mode=CURRENT,
+                         v_appl_trial=v_appl)
+    tol_i = 1e-12 * params.area / 25e-12
+    assert abs(r[0]) < cfg.newton_tol_v
+    assert abs(r[1]) < tol_i
+    assert abs(r[2]) < tol_i
