@@ -83,8 +83,12 @@ def _run_chunk(params: DeviceParams, size: int, wf: Waveform, cfg: SolverConfig,
     return ts.stats, float(ts.pol[-1, 0])
 
 
-def _run_chunk_star(args):
-    return _run_chunk(*args)
+def _chunk_outcome(fn, *args):
+    """Result of ``fn(*args)``, or the StepFailureError it raised."""
+    try:
+        return fn(*args)
+    except StepFailureError as err:
+        return err
 
 
 def run_array_bench(params: DeviceParams, sizes: Sequence[int],
@@ -98,8 +102,8 @@ def run_array_bench(params: DeviceParams, sizes: Sequence[int],
     supplies (McDistribution, seed) for per-cell sampling. Wall time wraps
     the integration only (chunk parameter setup is excluded for identical
     parameters and included for sampled ones, where drawing is part of the
-    array instantiation). A convergence failure aborts that size and is
-    recorded; other sizes still run.
+    array instantiation). A chunk that fails to converge counts the devices
+    its StepFailureError names as failures; the other chunks still run.
     """
     wf = wf or bench_waveform()
     cfg = cfg or SolverConfig(dt=2e-7, record_every=10**9)
@@ -115,23 +119,24 @@ def run_array_bench(params: DeviceParams, sizes: Sequence[int],
         offsets = np.cumsum([0] + csizes[:-1])
         args = [(params, c, wf, cfg, mc, int(off))
                 for c, off in zip(csizes, offsets)]
-        stats = SolveStats()
-        steps_first = 0
-        failures = 0
-        pol0 = np.nan
         t0 = time.perf_counter()
-        try:
-            if workers > 1:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(_run_chunk_star, args))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                futures = [pool.submit(_run_chunk, *a) for a in args]
+                results = [_chunk_outcome(f.result) for f in futures]
+        else:
+            results = [_chunk_outcome(_run_chunk, *a) for a in args]
+        stats = SolveStats()
+        failures = 0
+        for r in results:
+            if isinstance(r, StepFailureError):
+                failures += len(r.device_indices)
             else:
-                results = [_run_chunk_star(a) for a in args]
-            for s, _ in results:
-                stats.merge(s)
-            steps_first = results[0][0].steps
-            pol0 = results[0][1]
-        except StepFailureError as err:
-            failures = max(1, len(err.device_indices))
+                stats.merge(r[0])
+        first = results[0]
+        ok = not isinstance(first, StepFailureError)
+        steps_first = first[0].steps if ok else 0
+        pol0 = first[1] if ok else np.nan
         wall = time.perf_counter() - t0
         report.sizes.append(int(n))
         report.wall_s.append(wall)

@@ -9,7 +9,7 @@ matter how trials are chunked or how many workers execute them.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -94,26 +94,27 @@ def sample_params(base: DeviceParams, dist: McDistribution,
     Out-of-bounds draws are rejected and redrawn up to 100 times, then
     clamped; sigma = 0 entries take their mean without consuming the RNG.
     """
-    values = {}
+    drawn = {}
     for e in dist.entries:
         if e.sigma == 0.0:
-            values[e.name] = e.mean
+            drawn[e.name] = e.mean
             continue
         x = e.lower - 1.0
         for _ in range(_MAX_REJECTS):
             x = rng.normal(e.mean, e.sigma)
             if e.lower <= x <= e.upper:
                 break
-        values[e.name] = min(max(x, e.lower), e.upper)
-    out = base
-    for name, value in values.items():
+        drawn[e.name] = min(max(x, e.lower), e.upper)
+    # One construction: DeviceParams validates every field on each copy.
+    values = {}
+    for name, x in drawn.items():
         if name == "N_depl":
-            out = out.with_n_depl(value)
+            values["N_depl_dn"] = values["N_depl_up"] = x
         else:
-            out = out.replace(**{name: value})
+            values[name] = x
     if dist.temperature is not None:
-        out = out.replace(temperature=dist.temperature)
-    return out
+        values["temperature"] = dist.temperature
+    return replace(base, **values)
 
 
 def _trial_rngs(seed: int, start: int, stop: int):

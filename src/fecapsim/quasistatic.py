@@ -15,7 +15,9 @@ from typing import Optional
 import numpy as np
 
 from .params import DeviceParams
-from .physics import c_layer, j_fn, j_pf, p_steady_state, phi_depl
+# The solves below evaluate these formulas through Coeffs; the public functions
+# stay bound here because perfbench/tracing.py wraps the physics calls at these names.
+from .physics import Coeffs, c_layer, j_fn, j_pf, p_steady_state, phi_depl  # noqa: F401
 from .solver import SolverConfig, _root, run_transient
 from .waveform import Waveform
 
@@ -33,21 +35,19 @@ class DcConvergenceError(RuntimeError):
         super().__init__(f"DC solve failed at V = {bias:.6g} V{detail}")
 
 
-def _dc_vint(v_fe, bias, params):
+def _dc_vint(v_fe, bias, k: Coeffs):
     """Interface voltage eliminated through the voltage loop."""
-    e_fe = v_fe / params.t_fe
-    p = p_steady_state(e_fe, params)
-    return bias - v_fe - phi_depl(p, v_fe, params, e_fe)
+    p = k.p_steady(v_fe * k.inv_t_fe)
+    return bias - v_fe - k.phi(p, k.c_fe * v_fe)
 
 
-def _dc_mismatch(v_fe, bias, params):
+def _dc_mismatch(v_fe, bias, k: Coeffs):
     """Series-current mismatch j_pf(E_fe) - j_fn(E_int) along the loop."""
-    e_fe = v_fe / params.t_fe
-    v_int = _dc_vint(v_fe, bias, params)
-    return j_pf(e_fe, params) - j_fn(v_int / params.t_int, params)
+    v_int = _dc_vint(v_fe, bias, k)
+    return k.j_pf(v_fe * k.inv_t_fe) - k.j_fn(v_int * k.inv_t_int)
 
 
-def _solve_bias(bias: float, params: DeviceParams, guess_v_fe: float,
+def _solve_bias(bias: float, k: Coeffs, guess_v_fe: float,
                 tol_i: float) -> tuple[float, float]:
     """Solve one DC bias point; returns (v_fe, v_int).
 
@@ -56,14 +56,14 @@ def _solve_bias(bias: float, params: DeviceParams, guess_v_fe: float,
     """
 
     def mismatch(v_fe):
-        return params.area * _dc_mismatch(v_fe, bias, params), ()
+        return k.area * _dc_mismatch(v_fe, bias, k), ()
 
     v_fe, r_cur, conv, _, _ = _root(mismatch, np.array([guess_v_fe]), tol_i,
                                     _TOL_V, _MAX_ITERS)
     if not conv[0]:
         raise DcConvergenceError(bias, f" (|KCL| = {abs(r_cur[0]):.3e} A)")
     v_fe = float(v_fe[0])
-    return v_fe, float(_dc_vint(v_fe, bias, params))
+    return v_fe, float(_dc_vint(v_fe, bias, k))
 
 
 def dc_sweep(params: DeviceParams, v_start: float, v_stop: float,
@@ -80,13 +80,14 @@ def dc_sweep(params: DeviceParams, v_start: float, v_stop: float,
         raise ValueError("n_points must be >= 2")
     tol_i = (newton_tol_i if newton_tol_i is not None
              else 1e-12 * params.area / 25e-12)
+    k = Coeffs.of(params)
     biases = np.linspace(v_start, v_stop, n_points)
     out = []
     guess = 0.0
     for bias in biases:
-        v_fe, v_int = _solve_bias(float(bias), params, guess, tol_i)
+        v_fe, v_int = _solve_bias(float(bias), k, guess, tol_i)
         guess = v_fe
-        current = float(params.area * j_fn(v_int / params.t_int, params))
+        current = float(k.area * k.j_fn(v_int * k.inv_t_int))
         out.append((float(bias), current))
     return out
 
@@ -105,8 +106,8 @@ def small_signal_cv(params: DeviceParams, bias_waveform: Waveform,
     if delta_v <= 0.0:
         raise ValueError("delta_v must be > 0")
     ts = run_transient(params, bias_waveform, cfg)
-    c_int = c_layer(params.eps_int, params.t_int)
-    ratio = c_layer(params.eps_fe, params.t_fe) / c_int
+    k = Coeffs.of(params)
+    ratio = k.c_fe / k.c_int
 
     def v_int_of(v_fe):
         # Charge continuity with p frozen: C_fe dV_fe = C_int dV_int.
@@ -117,14 +118,13 @@ def small_signal_cv(params: DeviceParams, bias_waveform: Waveform,
         bias = ts.v_appl + sign * delta_v
 
         def loop(v_fe):
-            phi = phi_depl(ts.p, v_fe, params, v_fe / params.t_fe)
-            return bias - v_fe - v_int_of(v_fe) - phi, ()
+            return bias - v_fe - v_int_of(v_fe) - k.phi(ts.p, k.c_fe * v_fe), ()
 
         v_fe, _, conv, _, _ = _root(loop, ts.v_fe, _TOL_V, _TOL_V, _MAX_ITERS)
         if not conv.all():
             bad = int(np.flatnonzero(~conv)[0])
             raise DcConvergenceError(float(ts.v_appl[bad]),
                                      " (C-V probe did not converge)")
-        q[sign] = c_int * v_int_of(v_fe)
-    c = params.area * (q[+1.0] - q[-1.0]) / (2.0 * delta_v)
+        q[sign] = k.c_int * v_int_of(v_fe)
+    c = k.area * (q[+1.0] - q[-1.0]) / (2.0 * delta_v)
     return [(float(v), float(ci)) for v, ci in zip(ts.v_appl, c)]

@@ -20,6 +20,8 @@ Every implicit solve reduces exactly to one scalar equation per device:
 - the t = 0 split: V_fe + phi_depl(p0, V_fe) = V_appl(0) with V_int = 0.
 All of them go through :func:`_root`, a bracketed Newton iteration whose
 slope comes from a forward-difference probe evaluated in the same call.
+The step's residual is one fused pass over :class:`~fecapsim.physics.Coeffs`,
+the parameter-only constants, which are built once per batch.
 Each device iterates on its own and stops once converged, so its result
 never depends on the rest of the batch. When a step does not converge the
 failing devices halve it and solve the two halves recursively.
@@ -36,7 +38,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .params import DeviceParams, ParamsBatch
-from .physics import (
+# The step evaluates these formulas through Coeffs; the public functions stay
+# bound here because perfbench/tracing.py wraps the physics calls at these names.
+from .physics import (  # noqa: F401
+    Coeffs,
     c_layer,
     j_fn,
     j_pf,
@@ -80,12 +85,13 @@ class SolverConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be > 0")
-        if self.newton_tol_v <= 0.0:
-            raise ValueError("newton_tol_v must be > 0")
-        if self.newton_tol_i is not None and self.newton_tol_i <= 0.0:
-            raise ValueError("newton_tol_i must be > 0")
+        if not (np.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
+        if not (np.isfinite(self.newton_tol_v) and self.newton_tol_v > 0.0):
+            raise ValueError(f"newton_tol_v must be finite and > 0, got {self.newton_tol_v}")
+        if self.newton_tol_i is not None and not (np.isfinite(self.newton_tol_i)
+                                                  and self.newton_tol_i > 0.0):
+            raise ValueError(f"newton_tol_i must be finite and > 0, got {self.newton_tol_i}")
         if not 0.0 <= self.p_init <= 1.0:
             raise ValueError("p_init must be in [0, 1]")
         if self.max_newton_iters < 1 or self.max_step_halvings < 0:
@@ -120,19 +126,31 @@ class StepFailureError(RuntimeError):
             msg += f", devices {self.device_indices[:8]}"
         super().__init__(msg + ")")
 
+    def __reduce__(self):
+        # Rebuilt from the fields, so the error survives a worker process.
+        return (type(self), (self.t, self.dt, self.loop_residual, self.kcl_residual,
+                             self.device_indices))
+
 
 @dataclass
 class SolveStats:
-    """Aggregate work counters for one transient run."""
+    """Aggregate work counters for one transient run.
+
+    ``residual_evals`` counts batched evaluations of the full step residual
+    (each at the iterates and their slope probes); the interface-only
+    V_int solve under current drive is not counted.
+    """
 
     steps: int = 0
     newton_iters: int = 0
     halvings: int = 0
+    residual_evals: int = 0
 
     def merge(self, other: "SolveStats"):
         self.steps += other.steps
         self.newton_iters += other.newton_iters
         self.halvings += other.halvings
+        self.residual_evals += other.residual_evals
 
 
 class _State(NamedTuple):
@@ -238,9 +256,9 @@ def _root(fun, x0: np.ndarray, tol_f, tol_x, max_iters: int):
 
     ``fun`` takes trial points of shape (2, n), the iterates and a
     forward-difference probe above them, and returns (f, aux): f of the same
-    shape and a tuple of arrays shaped like it. A device converges once
-    |f| <= tol_f and its Newton correction |f/f'| <= tol_x, and is frozen
-    from then on. Each device keeps a sign bracket of the points it has
+    shape and a tuple of arrays shaped like it, or shaped (n,) when constant
+    over the trials. A device converges once |f| <= tol_f and its Newton
+    correction |f/f'| <= tol_x, and is frozen from then on. Each device keeps a sign bracket of the points it has
     seen; a Newton step that leaves the bracket bisects it instead.
 
     Returns (x, f, converged mask, iterations, aux at x).
@@ -251,18 +269,18 @@ def _root(fun, x0: np.ndarray, tol_f, tol_x, max_iters: int):
     iters = 0
     while True:
         h = _FD_RELATIVE * np.maximum(np.abs(x), 1.0)
-        f2, aux = fun(np.stack([x, x + h]))
+        f2, aux = fun(np.array((x, x + h)))
         f = f2[0]
         with np.errstate(divide="ignore", invalid="ignore"):
             dx = f * h / (f2[0] - f2[1])
         dx = np.where(np.isfinite(dx), dx, 0.0)
         conv = (np.abs(f) <= tol_f) & (np.abs(dx) <= tol_x)
         if iters == max_iters or conv.all():
-            return x, f, conv, iters, tuple(a[0] for a in aux)
+            return x, f, conv, iters, tuple(a[0] if a.ndim == 2 else a for a in aux)
         iters += 1
         x_neg = np.where(f < 0.0, x, x_neg)
         x_pos = np.where(f > 0.0, x, x_pos)
-        x_new = x + np.clip(dx, -_MAX_NEWTON_STEP, _MAX_NEWTON_STEP)
+        x_new = x + np.minimum(np.maximum(dx, -_MAX_NEWTON_STEP), _MAX_NEWTON_STEP)
         lo, hi = np.minimum(x_neg, x_pos), np.maximum(x_neg, x_pos)
         # lo <= hi only once both sides of the root are known.
         bisect = (lo <= hi) & ~((lo < x_new) & (x_new < hi))
@@ -270,85 +288,91 @@ def _root(fun, x0: np.ndarray, tol_f, tol_x, max_iters: int):
         x = np.where(conv, x, x_new)
 
 
-def _make_step(pb: ParamsBatch, prev: _State, dt: float):
+def _make_step(k: Coeffs, prev: _State, dt: float):
     """Branch quantities of the implicit step from *prev*; returns (at, interface).
 
     ``at`` takes V_fe and V_int (V_appl then follows from the loop), V_fe
     and V_appl (V_int follows from the loop), or all three (the loop
     residual is whatever the trial leaves). ``interface`` gives (j_fn,
-    interface branch current density) at a trial V_int. Trial arrays may
-    carry a leading axis in front of the device axis.
+    interface branch current density) at a trial V_int; ``at`` takes that
+    pair as *iface* when V_int is fixed. Trial arrays may carry a leading
+    axis in front of the device axis.
     """
-    c_fe = c_layer(pb.eps_fe, pb.t_fe)
-    c_int = c_layer(pb.eps_int, pb.t_int)
     inv_dt = 1.0 / dt
+    c_fe_dt = k.c_fe * inv_dt
+    c_int_dt = k.c_int * inv_dt
+    pol_dt = 2.0 * k.P_s * inv_dt
 
     def interface(v_int):
-        jfn = j_fn(v_int / pb.t_int, pb)
-        return jfn, c_int * (v_int - prev.v_int) * inv_dt + jfn
+        jfn = k.j_fn(v_int * k.inv_t_int)
+        return jfn, c_int_dt * (v_int - prev.v_int) + jfn
 
-    def at(v_fe, v_int=None, v_app=None) -> _StepAux:
-        e_fe = v_fe / pb.t_fe
-        p_n = p_step(prev.p, transition_rates(e_fe, pb), dt)
-        phi = phi_depl(p_n, v_fe, pb, e_fe)
-        v_int = np.broadcast_to(v_app - v_fe - phi if v_int is None else v_int,
-                                v_fe.shape)
-        v_app = np.broadcast_to(v_fe + v_int + phi if v_app is None else v_app,
-                                v_fe.shape)
-        jpf = j_pf(e_fe, pb)
-        jfn, j_int = interface(v_int)
-        j_pol = 2.0 * pb.P_s * (p_n - prev.p) * inv_dt
-        j_fe = c_fe * (v_fe - prev.v_fe) * inv_dt + j_pol + jpf
+    def at(v_fe, v_int=None, v_app=None, iface=None) -> _StepAux:
+        e_fe = v_fe * k.inv_t_fe
+        p_n = k.p_next(prev.p, e_fe, dt)
+        cv_fe = k.c_fe * v_fe
+        phi = k.phi(p_n, cv_fe)
+        if v_int is None:
+            v_int = v_app - v_fe - phi
+        if v_app is None:
+            v_app = v_fe + v_int + phi
+        jpf = k.j_pf(e_fe)
+        jfn, j_int = interface(v_int) if iface is None else iface
+        j_pol = pol_dt * (p_n - prev.p)
+        j_fe = c_fe_dt * (v_fe - prev.v_fe) + j_pol + jpf
         r_loop = v_app - v_fe - v_int - phi
-        return _StepAux(p_n, v_int, v_app, phi, jpf, jfn, j_pol, pb.area * j_int,
-                        r_loop, pb.area * (j_fe - j_int))
+        return _StepAux(p_n, v_int, v_app, phi, jpf, jfn, j_pol, k.area * j_int,
+                        r_loop, k.area * (j_fe - j_int))
 
     return at, interface
 
 
-def _solve_step(pb: ParamsBatch, st: _State, dt: float, drive_end: np.ndarray,
+def _solve_step(k: Coeffs, st: _State, dt: float, drive_end: np.ndarray,
                 mode: str, cfg: SolverConfig):
-    """One implicit step as scalar root-finds; returns (state, aux, conv, iters).
+    """One implicit step as scalar root-finds.
 
+    Returns (state, aux, conv, Newton iterations, residual evaluations).
     Under current drive V_int is solved first, from the interface branch
     alone carrying the drive current; V_fe then balances the internal-node
     KCL in both modes.
     """
     tol_i = (cfg.newton_tol_i if cfg.newton_tol_i is not None
-             else 1e-12 * pb.area / _TOL_I_REF_AREA)
-    at, interface = _make_step(pb, st, dt)
-    v_int, v_app = None, drive_end
+             else 1e-12 * k.area / _TOL_I_REF_AREA)
+    at, interface = _make_step(k, st, dt)
+    v_int, v_app, iface = None, drive_end, None
     conv, iters = True, 0
     if mode == CURRENT:
         def terminal(v):
-            return pb.area * interface(v)[1] - drive_end, ()
+            jfn, j_int = interface(v)
+            return k.area * j_int - drive_end, (jfn, j_int)
 
-        v_int, _, conv, iters, _ = _root(terminal, st.v_int, tol_i,
-                                         cfg.newton_tol_v, cfg.max_newton_iters)
+        v_int, _, conv, iters, iface = _root(terminal, st.v_int, tol_i,
+                                             cfg.newton_tol_v, cfg.max_newton_iters)
         v_app = None
 
     def kcl(v_fe):
-        aux = at(v_fe, v_int, v_app)
+        aux = at(v_fe, v_int, v_app, iface)
         return aux.r_kcl, aux
 
     v_fe, _, conv_fe, iters_fe, aux = _root(kcl, st.v_fe, tol_i, cfg.newton_tol_v,
                                             cfg.max_newton_iters)
     aux = _StepAux(*aux)
     st_new = _State(aux.p_n, v_fe, aux.v_int, aux.v_app)
-    return st_new, aux, conv & conv_fe, iters + iters_fe
+    return st_new, aux, conv & conv_fe, iters + iters_fe, iters_fe + 1
 
 
-def _initial_state(pb: ParamsBatch, v_app0: np.ndarray, p_init, t0: float) -> _State:
+def _initial_state(k: Coeffs, v_app0: np.ndarray, p_init, t0: float) -> _State:
     """Internal split consistent with the drive at t = 0.
 
     Convention: the interface capacitor starts discharged (V_int = 0) and
     V_fe absorbs the depolarization potential of the preset polarization,
     i.e. V_fe solves V_fe + phi_depl(p0, V_fe) = V_appl(0).
     """
-    p0 = np.broadcast_to(np.asarray(p_init, dtype=np.float64), (pb.n,)).copy()
+    n = v_app0.shape[0]
+    p0 = np.broadcast_to(np.asarray(p_init, dtype=np.float64), (n,)).copy()
 
     def loop(v):
-        return v + phi_depl(p0, v, pb, v / pb.t_fe) - v_app0, ()
+        return v + k.phi(p0, k.c_fe * v) - v_app0, ()
 
     v_fe0, r, conv, _, _ = _root(loop, v_app0, _SPLIT_TOL_V, _SPLIT_TOL_V,
                                  _SPLIT_MAX_ITERS)
@@ -357,18 +381,19 @@ def _initial_state(pb: ParamsBatch, v_app0: np.ndarray, p_init, t0: float) -> _S
         raise StepFailureError(t=t0, dt=0.0,
                                loop_residual=float(np.max(np.abs(r[bad]))),
                                kcl_residual=0.0, device_indices=bad)
-    return _State(p0, v_fe0, np.zeros(pb.n), v_app0.astype(np.float64).copy())
+    return _State(p0, v_fe0, np.zeros(n), v_app0.astype(np.float64).copy())
 
 
-def _advance(pb: ParamsBatch, st: _State, t0: float, dt: float, drive_at,
+def _advance(k: Coeffs, st: _State, t0: float, dt: float, drive_at,
              mode: str, cfg: SolverConfig, depth: int, stats: SolveStats,
              cols: np.ndarray):
     """Advance every device by exactly *dt*, halving locally on failure."""
     drive_end = np.broadcast_to(np.asarray(drive_at(t0 + dt, cols), dtype=np.float64),
-                                (pb.n,))
-    st_new, aux, conv, iters = _solve_step(pb, st, dt, drive_end, mode, cfg)
+                                cols.shape)
+    st_new, aux, conv, iters, evals = _solve_step(k, st, dt, drive_end, mode, cfg)
     stats.steps += 1
     stats.newton_iters += iters
+    stats.residual_evals += evals
     if conv.all():
         return st_new, aux
 
@@ -385,13 +410,13 @@ def _advance(pb: ParamsBatch, st: _State, t0: float, dt: float, drive_at,
         )
 
     stats.halvings += 1
-    sub_pb = pb.slice(bad)
+    sub_k = k.slice(bad)
     sub_st = _State(*(a[bad] for a in st))
     sub_cols = cols[bad]
     half = 0.5 * dt
-    st_a, _ = _advance(sub_pb, sub_st, t0, half, drive_at, mode, cfg,
+    st_a, _ = _advance(sub_k, sub_st, t0, half, drive_at, mode, cfg,
                        depth - 1, stats, sub_cols)
-    st_b, aux_b = _advance(sub_pb, st_a, t0 + half, half, drive_at, mode, cfg,
+    st_b, aux_b = _advance(sub_k, st_a, t0 + half, half, drive_at, mode, cfg,
                            depth - 1, stats, sub_cols)
     return _scatter(st_new, bad, st_b), _scatter(aux, bad, aux_b)
 
@@ -431,6 +456,7 @@ def run_transient_batch(pb: ParamsBatch, wf: Waveform,
     grid = wf.time_grid(cfg.dt)
     n = pb.n
     cols_all = np.arange(n)
+    k = Coeffs.of(pb)
 
     def drive_at(t, cols):
         v = wf.value_at(t, cols if wf.values.ndim == 2 else None)
@@ -441,50 +467,39 @@ def run_transient_batch(pb: ParamsBatch, wf: Waveform,
     else:
         v_drive0 = drive_at(grid[0], cols_all)
         v_app0 = v_drive0 if wf.mode == VOLTAGE else np.zeros(n)
-        st = _initial_state(pb, v_app0, cfg.p_init, grid[0])
+        st = _initial_state(k, v_app0, cfg.p_init, grid[0])
 
     n_steps = grid.size - 1
-    rec_idx = [0] + [k for k in range(1, n_steps + 1)
-                     if k % cfg.record_every == 0 or k == n_steps]
+    rec_idx = [0] + [i for i in range(1, n_steps + 1)
+                     if i % cfg.record_every == 0 or i == n_steps]
     rec_set = set(rec_idx)
     n_rows = len(rec_idx)
     out = {name: np.empty((n_rows, n)) for name in _TS_COLUMNS + _TS_EXTRAS}
     out["t"] = np.empty(n_rows)
     stats = SolveStats()
 
-    e_fe0 = st.v_fe / pb.t_fe
-    phi0 = phi_depl(st.p, st.v_fe, pb, e_fe0)
-    j_fn0 = j_fn(st.v_int / pb.t_int, pb)
+    phi0 = k.phi(st.p, k.c_fe * st.v_fe)
+    j_fn0 = k.j_fn(st.v_int * k.inv_t_int)
     aux0 = _StepAux(
         p_n=st.p, v_int=st.v_int, v_app=st.v_app, phi=phi0,
-        j_pf=j_pf(e_fe0, pb), j_fn=j_fn0, j_pol=np.zeros(n),
-        i_term=pb.area * j_fn0,
+        j_pf=k.j_pf(st.v_fe * k.inv_t_fe), j_fn=j_fn0, j_pol=np.zeros(n),
+        i_term=k.area * j_fn0,
         r_loop=st.v_app - st.v_fe - st.v_int - phi0,
         r_kcl=np.zeros(n),
     )
     _record_row(out, 0, grid[0], st, aux0)
 
     row = 1
-    for k in range(1, n_steps + 1):
-        t0, t1 = grid[k - 1], grid[k]
-        st, aux = _advance(pb, st, t0, t1 - t0, drive_at, wf.mode, cfg,
+    for i in range(1, n_steps + 1):
+        t0, t1 = grid[i - 1], grid[i]
+        st, aux = _advance(k, st, t0, t1 - t0, drive_at, wf.mode, cfg,
                            cfg.max_step_halvings, stats, cols_all)
-        if k in rec_set:
+        if i in rec_set:
             _record_row(out, row, t1, st, aux)
             row += 1
 
-    out["pol"] = polarization(out["p"], _BroadcastRows(pb))
+    out["pol"] = polarization(out["p"], pb)
     return TimeSeriesBatch(stats=stats, **out)
-
-
-class _BroadcastRows:
-    """Expose batch parameter arrays broadcastable against (rows, n) data."""
-
-    def __init__(self, pb: ParamsBatch):
-        self._pb = pb
-
-    def __getattr__(self, name):
-        return getattr(self._pb, name)[None, :]
 
 
 def batch_final_state(ts: TimeSeriesBatch) -> _State:
@@ -513,7 +528,7 @@ def solve_timestep(state: DeviceState, dt: float, drive_value: float,
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
     cfg = cfg or SolverConfig()
-    pb = ParamsBatch.from_params(params, 1)
+    k = Coeffs.of(ParamsBatch.from_params(params, 1))
     st = _State(
         p=np.array([state.p], dtype=np.float64),
         v_fe=np.array([state.v_fe], dtype=np.float64),
@@ -525,7 +540,7 @@ def solve_timestep(state: DeviceState, dt: float, drive_value: float,
     def drive_at(t, cols):
         return np.full(len(cols), drive_value)
 
-    new, _aux = _advance(pb, st, state.t, dt, drive_at, mode, cfg,
+    new, _aux = _advance(k, st, state.t, dt, drive_at, mode, cfg,
                          cfg.max_step_halvings, stats, np.arange(1))
     return DeviceState(p=float(new.p[0]), v_fe=float(new.v_fe[0]),
                        v_int=float(new.v_int[0]), t=state.t + dt)
@@ -544,14 +559,14 @@ def step_residual(state_next: DeviceState, state_prev: DeviceState, dt: float,
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
-    pb = ParamsBatch.from_params(params, 1)
+    k = Coeffs.of(ParamsBatch.from_params(params, 1))
     prev = _State(
         p=np.array([state_prev.p], dtype=np.float64),
         v_fe=np.array([state_prev.v_fe], dtype=np.float64),
         v_int=np.array([state_prev.v_int], dtype=np.float64),
         v_app=np.array([0.0]),
     )
-    at, _ = _make_step(pb, prev, dt)
+    at, _ = _make_step(k, prev, dt)
     v_app = drive_value if mode == VOLTAGE else v_appl_trial
     aux = at(np.array([state_next.v_fe]), np.array([state_next.v_int]),
              np.array([v_app], dtype=np.float64))

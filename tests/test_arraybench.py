@@ -60,3 +60,14 @@ def test_mc_sampled_bench(p25):
 def test_size_validated(p25):
     with pytest.raises(ValueError):
         run_array_bench(p25, [0])
+
+
+def test_failures_counted_in_every_chunk(p25):
+    # each of the three chunks (256 + 256 + 88) fails on its own; the count
+    # covers all of them, serially and from worker processes
+    cfg = fc.SolverConfig(dt=2e-7, record_every=10**9, max_newton_iters=1,
+                          max_step_halvings=0, newton_tol_v=1e-15)
+    for workers in (1, 2):
+        rep = run_array_bench(p25, [600], cfg=cfg, workers=workers)
+        assert rep.failures == [600], workers
+        assert np.isnan(rep.final_pol_device0[0])

@@ -72,6 +72,13 @@ def test_negative_dt_override_exit_1(tmp_path):
     assert "dt" in cp.stderr
 
 
+def test_nonfinite_dt_override_exit_1(tmp_path):
+    for value in ("nan", "inf"):
+        cp = run_cli("hysteresis", "--dt", value, "--out", str(tmp_path))
+        assert_clean_usage_error(cp)
+        assert "dt" in cp.stderr
+    assert not (tmp_path / "hysteresis_loop.csv").exists()
+
 def test_zero_workers_exit_1(tmp_path):
     cp = run_cli("mc", "--workers", "0", "--out", str(tmp_path))
     assert_clean_usage_error(cp)

@@ -61,6 +61,43 @@ def test_bounds_enforced(base):
     assert draws.max() <= 20e-9
 
 
+def chained_sample(base, dist, rng):
+    """Reference draw: one DeviceParams copy per entry, as sampling was first written."""
+    values = {}
+    for e in dist.entries:
+        if e.sigma == 0.0:
+            values[e.name] = e.mean
+            continue
+        x = e.lower - 1.0
+        for _ in range(montecarlo._MAX_REJECTS):
+            x = rng.normal(e.mean, e.sigma)
+            if e.lower <= x <= e.upper:
+                break
+        values[e.name] = min(max(x, e.lower), e.upper)
+    out = base
+    for name, value in values.items():
+        if name == "N_depl":
+            out = out.with_n_depl(value)
+        else:
+            out = out.replace(**{name: value})
+    if dist.temperature is not None:
+        out = out.replace(temperature=dist.temperature)
+    return out
+
+
+def test_sample_matches_chained_construction(base):
+    # a tight table forces rejections, so the redraw loop is covered too
+    tight = McDistribution(entries=(
+        ParamDist("t_int", 1.5e-9, 0.5e-9, 1.4e-9, 1.6e-9),
+        ParamDist("N_depl", 1.05e28, 2.65e27, 1e26, 2e28),
+        ParamDist("Q_fix_depl", 0.098, 0.0, 0.098, 0.098),
+    ))
+    for dist in (McDistribution.table_21c(), McDistribution.table_85c(), tight):
+        for seed in range(500):
+            got = montecarlo.sample_params(base, dist, np.random.default_rng(seed))
+            want = chained_sample(base, dist, np.random.default_rng(seed))
+            assert got == want, (dist, seed)
+
 def test_invalid_distribution():
     with pytest.raises(ValueError):
         ParamDist("t_int", 1.0, -0.1, 0.5, 1.5)

@@ -4,7 +4,7 @@ import pytest
 import fecapsim as fc
 from fecapsim.arraybench import bench_waveform
 from fecapsim.params import ParamsBatch
-from fecapsim.solver import run_transient_batch
+from fecapsim.solver import SolveStats, run_transient_batch
 from fecapsim.waveform import CURRENT, from_segments, hold, rect_pulse, triangle
 
 
@@ -82,6 +82,19 @@ def test_solve_timestep_ramp_iterations(params):
     ts = fc.run_transient(params, triangle(3.0, 1e3, 1), cfg)
     assert ts.stats.newton_iters <= 4 * ts.stats.steps
 
+
+def test_residual_evals_counted_on_bench_pulse():
+    # one count per batched step-residual call inside the root-finder
+    p25 = fc.DeviceParams(area=25e-12)
+    wf = bench_waveform(250e-9, 10e-6, 30e-6, 10e-9)
+    ts = run_transient_batch(ParamsBatch.from_params(p25, 4), wf,
+                             fc.SolverConfig(dt=2e-7))
+    stats = ts.stats
+    assert stats.steps <= stats.residual_evals <= 4 * stats.steps
+    merged = SolveStats()
+    merged.merge(stats)
+    merged.merge(stats)
+    assert merged.residual_evals == 2 * stats.residual_evals
 
 def test_step_residual_zero_at_equilibrium():
     p = fc.DeviceParams(E_off=0.0)
