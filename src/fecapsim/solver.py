@@ -23,8 +23,13 @@ slope comes from a forward-difference probe evaluated in the same call.
 The step's residual is one fused pass over :class:`~fecapsim.physics.Coeffs`,
 the parameter-only constants, which are built once per batch.
 Each device iterates on its own and stops once converged, so its result
-never depends on the rest of the batch. When a step does not converge the
-failing devices halve it and solve the two halves recursively.
+never depends on the rest of the batch. A base step's Newton start is
+predicted per device, as in SPICE: the polynomial through the accepted
+states since the current breakpoint interval began, of degree 0, 1 or 2 as
+that history grows. It restarts at every breakpoint, where the drive's
+slope may change. When a step does not converge the failing devices halve it
+and solve the two halves recursively, each half starting from its previous
+state.
 
 Everything is vectorized over a device axis: a batch of n independent
 devices advances in one pass, and a single device is just n = 1.
@@ -74,6 +79,11 @@ class SolverConfig:
     under current drive the terminal-current residual). The voltage loop
     holds by construction. ``newton_tol_i = None`` scales the default
     1e-12 A tolerance by device area / 25 um^2 at solve time.
+
+    Each base step's Newton iteration starts from a per-device prediction
+    extrapolated from the accepted states of the current breakpoint
+    interval, and restarts from the previous state at every breakpoint; the
+    tolerances above, not the start, decide when a step is accepted.
     """
 
     dt: float = 1e-7
@@ -258,8 +268,9 @@ def _root(fun, x0: np.ndarray, tol_f, tol_x, max_iters: int):
     forward-difference probe above them, and returns (f, aux): f of the same
     shape and a tuple of arrays shaped like it, or shaped (n,) when constant
     over the trials. A device converges once |f| <= tol_f and its Newton
-    correction |f/f'| <= tol_x, and is frozen from then on. Each device keeps a sign bracket of the points it has
-    seen; a Newton step that leaves the bracket bisects it instead.
+    correction |f/f'| <= tol_x, and is frozen from then on. Each device
+    keeps a sign bracket of the points it has seen; a Newton step that
+    leaves the bracket bisects it instead.
 
     Returns (x, f, converged mask, iterations, aux at x).
     """
@@ -267,25 +278,25 @@ def _root(fun, x0: np.ndarray, tol_f, tol_x, max_iters: int):
     x_neg = np.full_like(x, np.nan)
     x_pos = np.full_like(x, np.nan)
     iters = 0
-    while True:
-        h = _FD_RELATIVE * np.maximum(np.abs(x), 1.0)
-        f2, aux = fun(np.array((x, x + h)))
-        f = f2[0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dx = f * h / (f2[0] - f2[1])
-        dx = np.where(np.isfinite(dx), dx, 0.0)
-        conv = (np.abs(f) <= tol_f) & (np.abs(dx) <= tol_x)
-        if iters == max_iters or conv.all():
-            return x, f, conv, iters, tuple(a[0] if a.ndim == 2 else a for a in aux)
-        iters += 1
-        x_neg = np.where(f < 0.0, x, x_neg)
-        x_pos = np.where(f > 0.0, x, x_pos)
-        x_new = x + np.minimum(np.maximum(dx, -_MAX_NEWTON_STEP), _MAX_NEWTON_STEP)
-        lo, hi = np.minimum(x_neg, x_pos), np.maximum(x_neg, x_pos)
-        # lo <= hi only once both sides of the root are known.
-        bisect = (lo <= hi) & ~((lo < x_new) & (x_new < hi))
-        x_new = np.where(bisect, 0.5 * (x_neg + x_pos), x_new)
-        x = np.where(conv, x, x_new)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            h = _FD_RELATIVE * np.maximum(np.abs(x), 1.0)
+            f2, aux = fun(np.array((x, x + h)))
+            f = f2[0]
+            dx = f * h / (f - f2[1])
+            dx[~np.isfinite(dx)] = 0.0
+            conv = (np.abs(f) <= tol_f) & (np.abs(dx) <= tol_x)
+            if iters == max_iters or conv.all():
+                return x, f, conv, iters, tuple(a[0] if a.ndim == 2 else a for a in aux)
+            iters += 1
+            np.copyto(x_neg, x, where=f < 0.0)
+            np.copyto(x_pos, x, where=f > 0.0)
+            x_new = x + np.clip(dx, -_MAX_NEWTON_STEP, _MAX_NEWTON_STEP)
+            # Strictly inside the bracket the product is negative; it is NaN,
+            # so no bisection, until both sides of the root are known.
+            bisect = (x_new - x_neg) * (x_new - x_pos) >= 0.0
+            x_new[bisect] = 0.5 * (x_neg[bisect] + x_pos[bisect])
+            np.copyto(x, x_new, where=~conv)
 
 
 def _make_step(k: Coeffs, prev: _State, dt: float):
@@ -328,16 +339,18 @@ def _make_step(k: Coeffs, prev: _State, dt: float):
 
 
 def _solve_step(k: Coeffs, st: _State, dt: float, drive_end: np.ndarray,
-                mode: str, cfg: SolverConfig):
+                mode: str, cfg: SolverConfig, guess=None):
     """One implicit step as scalar root-finds.
 
     Returns (state, aux, conv, Newton iterations, residual evaluations).
     Under current drive V_int is solved first, from the interface branch
     alone carrying the drive current; V_fe then balances the internal-node
-    KCL in both modes.
+    KCL in both modes. The root-finds start from *guess*, a (V_fe, V_int)
+    pair, or from the previous state when it is None.
     """
     tol_i = (cfg.newton_tol_i if cfg.newton_tol_i is not None
              else 1e-12 * k.area / _TOL_I_REF_AREA)
+    v_fe0, v_int0 = (st.v_fe, st.v_int) if guess is None else guess
     at, interface = _make_step(k, st, dt)
     v_int, v_app, iface = None, drive_end, None
     conv, iters = True, 0
@@ -346,7 +359,7 @@ def _solve_step(k: Coeffs, st: _State, dt: float, drive_end: np.ndarray,
             jfn, j_int = interface(v)
             return k.area * j_int - drive_end, (jfn, j_int)
 
-        v_int, _, conv, iters, iface = _root(terminal, st.v_int, tol_i,
+        v_int, _, conv, iters, iface = _root(terminal, v_int0, tol_i,
                                              cfg.newton_tol_v, cfg.max_newton_iters)
         v_app = None
 
@@ -354,7 +367,7 @@ def _solve_step(k: Coeffs, st: _State, dt: float, drive_end: np.ndarray,
         aux = at(v_fe, v_int, v_app, iface)
         return aux.r_kcl, aux
 
-    v_fe, _, conv_fe, iters_fe, aux = _root(kcl, st.v_fe, tol_i, cfg.newton_tol_v,
+    v_fe, _, conv_fe, iters_fe, aux = _root(kcl, v_fe0, tol_i, cfg.newton_tol_v,
                                             cfg.max_newton_iters)
     aux = _StepAux(*aux)
     st_new = _State(aux.p_n, v_fe, aux.v_int, aux.v_app)
@@ -386,11 +399,16 @@ def _initial_state(k: Coeffs, v_app0: np.ndarray, p_init, t0: float) -> _State:
 
 def _advance(k: Coeffs, st: _State, t0: float, dt: float, drive_at,
              mode: str, cfg: SolverConfig, depth: int, stats: SolveStats,
-             cols: np.ndarray):
-    """Advance every device by exactly *dt*, halving locally on failure."""
-    drive_end = np.broadcast_to(np.asarray(drive_at(t0 + dt, cols), dtype=np.float64),
-                                cols.shape)
-    st_new, aux, conv, iters, evals = _solve_step(k, st, dt, drive_end, mode, cfg)
+             cols: np.ndarray, guess=None):
+    """Advance every device by exactly *dt*, halving locally on failure.
+
+    *guess* is the predicted start of the step's root-finds (see
+    :func:`_predict`); the halves of a failed step start from their
+    previous state.
+    """
+    drive_end = drive_at(t0 + dt, cols)
+    st_new, aux, conv, iters, evals = _solve_step(k, st, dt, drive_end, mode, cfg,
+                                                  guess)
     stats.steps += 1
     stats.newton_iters += iters
     stats.residual_evals += evals
@@ -421,6 +439,23 @@ def _advance(k: Coeffs, st: _State, t0: float, dt: float, drive_at,
     return _scatter(st_new, bad, st_b), _scatter(aux, bad, aux_b)
 
 
+def _predict(hist):
+    """Predicted (V_fe, V_int) at the next grid point, or None for no history.
+
+    *hist* holds the accepted base-grid states since the current breakpoint
+    interval began, newest last. The grid is uniform inside an interval, so
+    the polynomial through two or three of them extrapolates with the exact
+    weights (2, -1) and (3, -3, 1).
+    """
+    if len(hist) == 1:
+        return None
+    if len(hist) == 2:
+        b, a = hist
+        return a.v_fe + (a.v_fe - b.v_fe), a.v_int + (a.v_int - b.v_int)
+    c, b, a = hist
+    return 3.0 * (a.v_fe - b.v_fe) + c.v_fe, 3.0 * (a.v_int - b.v_int) + c.v_int
+
+
 def _record_row(out: dict, row: int, t: float, st: _State, aux: _StepAux):
     out["t"][row] = t
     out["v_appl"][row] = st.v_app
@@ -443,8 +478,12 @@ def run_transient_batch(pb: ParamsBatch, wf: Waveform,
 
     The base time grid subdivides every waveform breakpoint interval by the
     configured dt; failed steps are halved locally (per device) up to
-    ``max_step_halvings`` levels. Rows are recorded on the base grid every
-    ``record_every`` steps, always including the first and last instants.
+    ``max_step_halvings`` levels. Each base step's root-finds start from a
+    per-device prediction extrapolated from the accepted states of the
+    current breakpoint interval; the prediction restarts at every
+    breakpoint, where the drive's slope may change. Rows are recorded on the
+    base grid every ``record_every`` steps, always including the first and
+    last instants.
 
     ``init`` continues from a known state (e.g. the previous drive phase);
     without it the internal voltages are solved self-consistently from the
@@ -489,11 +528,16 @@ def run_transient_batch(pb: ParamsBatch, wf: Waveform,
     )
     _record_row(out, 0, grid[0], st, aux0)
 
+    # Breakpoint interval of each base step.
+    seg = np.searchsorted(wf.times, 0.5 * (grid[:-1] + grid[1:])).tolist()
     row = 1
     for i in range(1, n_steps + 1):
         t0, t1 = grid[i - 1], grid[i]
+        if i == 1 or seg[i - 1] != seg[i - 2]:
+            hist = []
+        hist = hist[-2:] + [st]
         st, aux = _advance(k, st, t0, t1 - t0, drive_at, wf.mode, cfg,
-                           cfg.max_step_halvings, stats, cols_all)
+                           cfg.max_step_halvings, stats, cols_all, _predict(hist))
         if i in rec_set:
             _record_row(out, row, t1, st, aux)
             row += 1

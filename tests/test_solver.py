@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fecapsim as fc
+from fecapsim import analyses
 from fecapsim.arraybench import bench_waveform
 from fecapsim.params import ParamsBatch
 from fecapsim.solver import SolveStats, run_transient_batch
@@ -78,19 +79,22 @@ def test_solve_timestep_ramp_iterations(params):
     cfg = fc.SolverConfig(dt=1e-6)
     out = fc.solve_timestep(state, 1e-6, 0.012, params, cfg)
     assert 0.0 <= out.p <= 1.0
-    # golden: the full hysteresis run averages ~2 Newton iterations/step
+    # the predicted start leaves about one Newton update per step on a
+    # 1 us-sampled loop; starting from the previous state takes about 2.4
     ts = fc.run_transient(params, triangle(3.0, 1e3, 1), cfg)
-    assert ts.stats.newton_iters <= 4 * ts.stats.steps
+    assert ts.stats.newton_iters <= 1.6 * ts.stats.steps
 
 
 def test_residual_evals_counted_on_bench_pulse():
-    # one count per batched step-residual call inside the root-finder
+    # one count per batched step-residual call inside the root-finder; the
+    # predicted start keeps it near 2.25 per step, starting from the
+    # previous state takes about 3.1
     p25 = fc.DeviceParams(area=25e-12)
     wf = bench_waveform(250e-9, 10e-6, 30e-6, 10e-9)
     ts = run_transient_batch(ParamsBatch.from_params(p25, 4), wf,
                              fc.SolverConfig(dt=2e-7))
     stats = ts.stats
-    assert stats.steps <= stats.residual_evals <= 4 * stats.steps
+    assert stats.steps <= stats.residual_evals <= 2.6 * stats.steps
     merged = SolveStats()
     merged.merge(stats)
     merged.merge(stats)
@@ -161,8 +165,27 @@ def test_step_halving_rescues_hard_steps(params):
     # local halving
     cfg = fc.SolverConfig(dt=5e-5, max_newton_iters=6)
     ts = fc.run_transient(params, triangle(3.0, 1e3, 2), cfg)
-    assert ts.stats.halvings >= 0
+    assert ts.stats.halvings > 0
     assert 0.0 <= ts.p.min() and ts.p.max() <= 1.0
+
+
+def test_prediction_restarts_at_breakpoints(params, monkeypatch):
+    # the kinetics grid's pulses turn sharply at their edges; a prediction
+    # carried across a breakpoint starts far from the root and forces
+    # halvings there
+    stats = SolveStats()
+
+    def counted(*args, **kwargs):
+        ts = run_transient_batch(*args, **kwargs)
+        stats.merge(ts.stats)
+        return ts
+
+    monkeypatch.setattr(analyses, "run_transient_batch", counted)
+    fc.switching_kinetics(params, (1.0, 1.5, 2.0, 2.5, 3.0),
+                          (1e-7, 4.6416e-7, 2.1544e-6, 1e-5, 4.6416e-5,
+                           2.1544e-4, 1e-3), cfg=fc.SolverConfig(dt=4e-6))
+    assert stats.steps > 0
+    assert stats.halvings == 0
 
 
 def test_record_decimation(params):
