@@ -16,9 +16,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .params import DeviceParams, N_DEPL_PRISTINE, ParamsBatch
+from .physics import polarization
 from .solver import (
     _TS_COLUMNS,
     _TS_EXTRAS,
+    _State,
     SolveStats,
     SolverConfig,
     TimeSeries,
@@ -34,6 +36,11 @@ DISCHARGE_THRESHOLD = 1e-12
 PRESET_VOLTAGE = -3.0
 PRESET_WIDTH = 1e-3
 PRESET_SETTLE = 1e-6
+# Default base steps: per drive period of a hysteresis sweep, and the step
+# of switching-kinetics and current-programming runs (s).
+HYSTERESIS_STEPS_PER_PERIOD = 1000
+KINETICS_DT = 1e-6
+PROGRAM_DT = 2e-7
 
 
 @dataclass
@@ -84,16 +91,16 @@ def zero_crossings(x: np.ndarray, y: np.ndarray):
     Returns a list of (y_at_crossing, ascending). A sample landing exactly
     on zero counts once, directed by the following sample.
     """
-    out = []
-    for i in range(len(x) - 1):
-        a, b = x[i], x[i + 1]
-        if a == 0.0:
-            if b != 0.0:
-                out.append((y[i], b > 0.0))
-        elif a * b < 0.0:
-            w = a / (a - b)
-            out.append((y[i] + w * (y[i + 1] - y[i]), b > a))
-    return out
+    x, y = np.asarray(x), np.asarray(y)
+    a, b = x[:-1], x[1:]
+    on_zero = a == 0.0
+    hit = np.flatnonzero((on_zero & (b != 0.0)) | (a * b < 0.0))
+    a, b, y0, y1, on_zero = a[hit], b[hit], y[hit], y[hit + 1], on_zero[hit]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = a / (a - b)
+        value = np.where(on_zero, y0, y0 + w * (y1 - y0))
+    ascending = np.where(on_zero, b > 0.0, b > a)
+    return list(zip(value, ascending))
 
 
 def extract_loop_metrics(v: np.ndarray, p: np.ndarray):
@@ -147,7 +154,7 @@ def hysteresis_batch(pb: ParamsBatch, amplitude, frequency: float,
     if n_cycles < 2:
         raise ValueError("n_cycles must be >= 2 (first cycle is the preset)")
     if cfg is None:
-        cfg = SolverConfig(dt=1.0 / (frequency * 1000.0))
+        cfg = SolverConfig(dt=1.0 / (frequency * HYSTERESIS_STEPS_PER_PERIOD))
     wf = triangle(amplitude, frequency, n_cycles, mode=VOLTAGE)
     ts = run_transient_batch(pb, wf, cfg)
     return [_extract_hysteresis(ts.device(i), frequency, n_cycles, cfg.dt)
@@ -179,7 +186,7 @@ def switching_kinetics_batch(pb: ParamsBatch, amplitude, widths: Sequence[float]
     Returns an array of shape (n_devices, n_widths).
     """
     if cfg is None:
-        cfg = SolverConfig(dt=1e-6)
+        cfg = SolverConfig(dt=KINETICS_DT)
     amplitude = np.broadcast_to(np.asarray(amplitude, dtype=np.float64), (pb.n,))
     preset_cfg = replace(
         cfg, dt=min(preset_width / 500.0, cfg.dt) if preset_width > 0 else cfg.dt,
@@ -224,13 +231,22 @@ def switching_kinetics(params: DeviceParams, amplitudes: Sequence[float],
 
 
 def _concat_batches(parts):
-    """Concatenate phase TimeSeriesBatch records, dropping repeated joints."""
+    """Join phase records, each timed from its own start, end to end.
+
+    Each phase starts where the previous one ended; the repeated joint rows
+    are dropped.
+    """
     arrays = {}
     for name in _TS_COLUMNS + _TS_EXTRAS:
-        chunks = [getattr(parts[0], name)]
-        for part in parts[1:]:
-            chunks.append(getattr(part, name)[1:])
-        arrays[name] = np.concatenate(chunks, axis=0)
+        if name != "t":
+            chunks = [getattr(parts[0], name)]
+            for part in parts[1:]:
+                chunks.append(getattr(part, name)[1:])
+            arrays[name] = np.concatenate(chunks, axis=0)
+    times = [parts[0].t]
+    for part in parts[1:]:
+        times.append(times[-1][-1] + part.t[1:])
+    arrays["t"] = np.concatenate(times)
     stats = SolveStats()
     for part in parts:
         stats.merge(part.stats)
@@ -244,51 +260,60 @@ def current_program_batch(pb: ParamsBatch, pulse_current: float,
                           gap: float = 30e-6,
                           discharge_threshold: float = DISCHARGE_THRESHOLD,
                           max_discharge: float = 30e-6,
-                          cfg: Optional[SolverConfig] = None):
-    """Current-pulse programming; returns (P after each pulse, TimeSeriesBatch).
+                          cfg: Optional[SolverConfig] = None,
+                          runs: Optional[list] = None) -> np.ndarray:
+    """Current-pulse programming; returns P after each pulse, (n_pulses, n).
 
-    Each pulse is driven in current mode. With ``discharge_between`` the
-    device is clamped to 0 V after every pulse until the terminal current
-    falls below ``discharge_threshold`` (or ``max_discharge`` of clamp time
-    elapses); otherwise pulses are separated by a zero-current hold of
-    ``gap``.
+    Each pulse is driven in current mode. With ``discharge_between`` each
+    device is clamped to 0 V after every pulse until its own terminal
+    current falls below ``discharge_threshold`` (or ``max_discharge`` of
+    clamp time elapses); otherwise pulses are separated by a zero-current
+    hold of ``gap``. Every phase is timed from its own start, so a device's
+    result does not depend on how long the others took to discharge. If
+    *runs* is a list, each transient is appended to it as (device indices,
+    TimeSeriesBatch) in the order run.
     """
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
-    cfg = cfg or SolverConfig(dt=2e-7)
-    parts = []
+    cfg = cfg or SolverConfig(dt=PROGRAM_DT)
+    everyone = np.arange(pb.n)
+
+    def run(sub, idx, state, wf):
+        ts = run_transient_batch(sub, wf, cfg, init=state)
+        if runs is not None:
+            runs.append((idx, ts))
+        return batch_final_state(ts), ts
+
+    pulse = from_segments(CURRENT, [
+        (edge, pulse_current), (pulse_width, pulse_current), (edge, 0.0),
+    ])
+    if discharge_between:
+        # 0 V clamp phases, each a chunk long, totalling max_discharge
+        chunk = max(10 * cfg.dt, 2e-6)
+        n_chunks = max(1, int(np.ceil(max_discharge / chunk - 1e-9)))
+        spans = [chunk] * (n_chunks - 1) + [max_discharge - chunk * (n_chunks - 1)]
+        clamps = [from_segments(VOLTAGE, [(span, 0.0)]) for span in spans]
     pol_after = np.empty((n_pulses, pb.n))
     state = None
-    t_now = 0.0
     for k in range(n_pulses):
-        wf = from_segments(CURRENT, [
-            (edge, pulse_current), (pulse_width, pulse_current), (edge, 0.0),
-        ], t0=t_now)
-        ts = run_transient_batch(pb, wf, cfg, init=state)
-        parts.append(ts)
-        state = batch_final_state(ts)
-        t_now = wf.t_end
+        state, _ = run(pb, everyone, state, pulse)
         if discharge_between:
-            chunk = max(10 * cfg.dt, 2e-6)
-            n_chunks = max(1, int(np.ceil(max_discharge / chunk - 1e-9)))
-            for j in range(n_chunks):
-                span = (chunk if j < n_chunks - 1
-                        else max_discharge - chunk * (n_chunks - 1))
-                wf_d = from_segments(VOLTAGE, [(span, 0.0)], t0=t_now)
-                ts = run_transient_batch(pb, wf_d, cfg, init=state)
-                parts.append(ts)
-                state = batch_final_state(ts)
-                t_now = wf_d.t_end
-                if np.all(np.abs(ts.i[-1]) < discharge_threshold):
+            sub, idx, st = pb, everyone, state
+            for j, clamp in enumerate(clamps):
+                st, ts = run(sub, idx, st, clamp)
+                done = (j == n_chunks - 1) | (np.abs(ts.i[-1]) < discharge_threshold)
+                for whole, part in zip(state, st):
+                    whole[idx[done]] = part[done]
+                if done.all():
                     break
+                if done.any():
+                    sub, idx = sub.slice(~done), idx[~done]
+                    st = _State(*(a[~done] for a in st))
         elif k < n_pulses - 1:
-            wf_g = from_segments(CURRENT, [(gap, 0.0)], t0=t_now)
-            ts = run_transient_batch(pb, wf_g, cfg, init=state)
-            parts.append(ts)
-            state = batch_final_state(ts)
-            t_now = wf_g.t_end
-        pol_after[k] = pb.P_s * (2.0 * state.p - 1.0)
-    return pol_after, _concat_batches(parts)
+            state, _ = run(pb, everyone, state,
+                           from_segments(CURRENT, [(gap, 0.0)]))
+        pol_after[k] = polarization(state.p, pb)
+    return pol_after
 
 
 def current_program(params: DeviceParams, pulse_current: float,
@@ -301,9 +326,11 @@ def current_program(params: DeviceParams, pulse_current: float,
                     cfg: Optional[SolverConfig] = None) -> ProgramTrace:
     """Single-device current programming; see :func:`current_program_batch`."""
     pb = ParamsBatch.from_params(params, 1)
-    pol_after, ts = current_program_batch(
+    runs = []
+    pol_after = current_program_batch(
         pb, pulse_current, pulse_width, n_pulses, discharge_between,
-        edge, gap, discharge_threshold, max_discharge, cfg)
+        edge, gap, discharge_threshold, max_discharge, cfg, runs)
+    ts = _concat_batches([ts for _, ts in runs])
     return ProgramTrace(
         pulse_current=pulse_current, pulse_width=pulse_width,
         n_pulses=n_pulses, discharge_between=discharge_between,

@@ -10,22 +10,16 @@ and integration cost at array scale, nothing else.
 from __future__ import annotations
 
 import os
-import platform
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .montecarlo import McDistribution, _trial_rngs, sample_params
-from .params import DeviceParams, ParamsBatch
+from .montecarlo import McDistribution, _chunk_bounds, _trial_rngs, sample_params
+from .params import DEFAULT_CHUNK, DeviceParams, ParamsBatch
 from .solver import SolveStats, SolverConfig, StepFailureError, run_transient_batch
 from .waveform import CURRENT, DEFAULT_EDGE, Waveform, from_segments
-
-# Devices per vectorized chunk: large enough to amortize numpy dispatch,
-# small enough that per-device cost stays flat from ~100 devices up.
-DEFAULT_CHUNK = 256
 
 
 @dataclass
@@ -66,10 +60,6 @@ def bench_waveform(pulse_current: float = 250e-9, pulse_width: float = 10e-6,
     ])
 
 
-def _chunk_sizes(n: int, chunk: int):
-    return [min(chunk, n - s) for s in range(0, n, chunk)]
-
-
 def _run_chunk(params: DeviceParams, size: int, wf: Waveform, cfg: SolverConfig,
                mc: Optional[tuple], mc_offset: int):
     """Integrate one chunk; returns (stats, final polarization of device 0)."""
@@ -105,6 +95,8 @@ def run_array_bench(params: DeviceParams, sizes: Sequence[int],
     array instantiation). A chunk that fails to converge counts the devices
     its StepFailureError names as failures; the other chunks still run.
     """
+    import platform
+
     wf = wf or bench_waveform()
     cfg = cfg or SolverConfig(dt=2e-7, record_every=10**9)
     report = BenchReport(
@@ -115,12 +107,11 @@ def run_array_bench(params: DeviceParams, sizes: Sequence[int],
     for n in sizes:
         if n < 1:
             raise ValueError("array sizes must be >= 1")
-        csizes = _chunk_sizes(n, chunk)
-        offsets = np.cumsum([0] + csizes[:-1])
-        args = [(params, c, wf, cfg, mc, int(off))
-                for c, off in zip(csizes, offsets)]
+        args = [(params, b - a, wf, cfg, mc, a) for a, b in _chunk_bounds(n, chunk)]
         t0 = time.perf_counter()
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(_run_chunk, *a) for a in args]
                 results = [_chunk_outcome(f.result) for f in futures]

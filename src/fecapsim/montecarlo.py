@@ -1,31 +1,46 @@
 """Device-to-device variability: parameter sampling and Monte-Carlo runs.
 
 Parameters vary as independent truncated Gaussians. Every trial draws from
-its own RNG stream spawned from the master seed by counter-based splitting,
-so results are bit-identical for a given (seed, n_trials, scenario) no
-matter how trials are chunked or how many workers execute them.
+its own RNG stream spawned from the master seed by counter-based splitting.
+Trials integrate in vectorized batches of up to ``DEFAULT_CHUNK`` devices,
+narrower when a trial's time-series record is long. A device's result
+never depends on the rest of its batch (each program phase is timed from
+its own start), so results are bit-identical for a given (seed, n_trials,
+scenario) no matter how trials are chunked or how many workers execute
+them.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .analyses import (
+    HYSTERESIS_STEPS_PER_PERIOD,
+    KINETICS_DT,
+    PROGRAM_DT,
+    _kinetics_pulse_cfg,
     current_program_batch,
     hysteresis_batch,
     switching_kinetics_batch,
 )
-from .params import DeviceParams, ParamsBatch
+from .params import DEFAULT_CHUNK, DeviceParams, ParamsBatch
 from .solver import SolverConfig, StepFailureError
+from .waveform import DEFAULT_EDGE, VOLTAGE, from_segments, triangle
 
-# Trials per vectorized batch; fixed so chunking never depends on workers.
-_TRIAL_CHUNK = 64
 # Gaussian draws attempted before clamping to the truncation bounds.
 _MAX_REJECTS = 100
+# Peak bytes per trial and recorded row while a batch runs and its outputs
+# are extracted: 12 float64 record columns plus the extraction's temporaries
+# (119 B measured on a hysteresis batch).
+_ROW_BYTES = 120
+# Record memory one batch may hold; a trial that records more rows runs in
+# a narrower batch. Up to 4369 rows (two 1 kHz cycles at dt = 2 us record
+# 1001) a batch stays DEFAULT_CHUNK wide, and up to 17476 rows it stays at
+# least 64 wide.
+_RECORD_BUDGET = 128 * 2**20
 
 
 class McError(RuntimeError):
@@ -170,10 +185,35 @@ def _outputs_for_batch(spec: ScenarioSpec, pb: ParamsBatch) -> dict:
         delta = switching_kinetics_batch(pb, spec.amplitude, spec.widths,
                                          cfg=spec.solver_config())
         return {"delta_p": delta}
-    pol_after, _ts = current_program_batch(
+    pol_after = current_program_batch(
         pb, spec.pulse_current, spec.pulse_width, spec.n_pulses,
         cfg=spec.solver_config())
     return {"pol_after": pol_after.T}
+
+
+def _record_rows(spec: ScenarioSpec) -> int:
+    """Rows of the longest time-series record one trial of *spec* holds."""
+    cfg = spec.solver_config()
+    if spec.kind == "hysteresis":
+        dt = cfg.dt if cfg else 1.0 / (spec.frequency * HYSTERESIS_STEPS_PER_PERIOD)
+        wf = triangle(spec.amplitude, spec.frequency, spec.n_cycles)
+        return wf.time_grid(dt).size
+
+    def rows(width, dt):  # an edge-width-edge pulse
+        segments = [(DEFAULT_EDGE, 0.0), (width, 0.0), (DEFAULT_EDGE, 0.0)]
+        return from_segments(VOLTAGE, segments).time_grid(dt).size
+
+    if spec.kind == "kinetics":
+        cfg = cfg or SolverConfig(dt=KINETICS_DT)
+        return max((rows(w, _kinetics_pulse_cfg(w, cfg).dt) for w in spec.widths),
+                   default=1)
+    return rows(spec.pulse_width, cfg.dt if cfg else PROGRAM_DT)
+
+
+def _batch_width(spec: ScenarioSpec) -> int:
+    """DEFAULT_CHUNK, or fewer trials if their records would pass the budget."""
+    return min(DEFAULT_CHUNK,
+               max(1, _RECORD_BUDGET // (_ROW_BYTES * _record_rows(spec))))
 
 
 def _output_shapes(spec: ScenarioSpec) -> dict:
@@ -195,21 +235,30 @@ def _run_chunk(spec: ScenarioSpec, base: DeviceParams, dist: McDistribution,
     m = stop - start
     outputs = {k: np.full((m,) + s, np.nan) for k, s in shapes.items()}
     failed = []
+    _run_trials(spec, trials, 0, outputs, failed)
+    return outputs, failed, samples
+
+
+def _run_trials(spec: ScenarioSpec, trials: list, offset: int, outputs: dict,
+                failed: list):
+    """Fill rows offset.. of *outputs* with the batch *trials*.
+
+    A batch that fails to converge is rerun by halves, recursively, so k
+    non-converging trials cost O(k log n) batch runs and are isolated
+    without biasing the others; their local indices go to *failed*.
+    """
     try:
         got = _outputs_for_batch(spec, ParamsBatch.from_list(trials))
-        for k in outputs:
-            outputs[k][...] = got[k]
     except StepFailureError:
-        # Isolate the non-converging trials without biasing the others:
-        # rerun one by one and keep whatever converges.
-        for i, trial in enumerate(trials):
-            try:
-                got = _outputs_for_batch(spec, ParamsBatch.from_list([trial]))
-                for k in outputs:
-                    outputs[k][i] = got[k][0]
-            except StepFailureError:
-                failed.append(i)
-    return outputs, failed, samples
+        if len(trials) == 1:
+            failed.append(offset)
+            return
+        mid = len(trials) // 2
+        _run_trials(spec, trials[:mid], offset, outputs, failed)
+        _run_trials(spec, trials[mid:], offset + mid, outputs, failed)
+        return
+    for k in outputs:
+        outputs[k][offset:offset + len(trials)] = got[k]
 
 
 def _dist_value(params: DeviceParams, name: str) -> float:
@@ -242,16 +291,20 @@ def run_mc(spec: ScenarioSpec, base: DeviceParams, dist: McDistribution,
            progress: Optional[Callable[[int, int], None]] = None) -> McResult:
     """Monte-Carlo scenario sweep over sampled devices.
 
-    Trials execute in fixed chunks of 64 (vectorized); ``workers`` > 1
-    distributes whole chunks over processes. Failed trials are excluded
-    from the aggregates and reported; more than 10% failures is an error.
+    Trials execute as balanced, contiguous, vectorized batches of at most
+    DEFAULT_CHUNK trials, fewer when a trial's record is long enough that a
+    batch would hold more than 128 MiB of it; when ``workers`` > 1 there are
+    at least ``min(workers, n_trials)`` batches, distributed over processes.
+    Failed trials are excluded from the aggregates and reported; more than
+    10% failures is an error.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    bounds = [(s, min(s + _TRIAL_CHUNK, n_trials))
-              for s in range(0, n_trials, _TRIAL_CHUNK)]
+    bounds = _chunk_bounds(n_trials, _batch_width(spec), workers)
     args = [(spec, base, dist, seed, a, b) for a, b in bounds]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_chunk_star, args))
     else:
@@ -287,6 +340,17 @@ def run_mc(spec: ScenarioSpec, base: DeviceParams, dist: McDistribution,
     return McResult(seed=seed, n_trials=n_trials, spec=spec, outputs=outputs,
                     mean=mean, std=std, histogram=histogram, samples=samples,
                     failed_trials=tuple(failed))
+
+
+def _chunk_bounds(n: int, width: int, min_chunks: int = 1):
+    """Balanced, contiguous [start, stop) ranges of at most *width* items.
+
+    There are at least ``min(min_chunks, n)`` ranges, so that each of that
+    many worker processes gets one.
+    """
+    m = max(-(-n // width), min(min_chunks, n))
+    edges = [i * n // m for i in range(m + 1)]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def _run_chunk_star(args):

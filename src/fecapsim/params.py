@@ -15,6 +15,10 @@ from .constants import Q_E
 
 # Carrier density modeling a pristine (not woken-up) electrode interface, 1/m^3.
 N_DEPL_PRISTINE = 7e27
+# Devices per vectorized batch of the array bench and Monte-Carlo runs: wide
+# enough to amortize a step's fixed numpy dispatch cost, narrow enough that
+# the per-device cost stays flat from ~100 devices up.
+DEFAULT_CHUNK = 256
 
 
 @dataclass(frozen=True)

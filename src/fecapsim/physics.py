@@ -169,9 +169,16 @@ def p_step(p, rates: TransitionRates, dt):
     return _relax(p, p_eq, s, dt)
 
 
-def polarization(p, params):
-    """Device polarization P = P_s * (2p - 1), C/m^2."""
-    return params.P_s * (2.0 * np.asarray(p) - 1.0)
+def polarization(p, params, out=None):
+    """Device polarization P = P_s * (2p - 1), C/m^2.
+
+    Built in place, in *out* when given, so a large p costs no temporaries
+    beyond the result.
+    """
+    pol = np.multiply(p, 2.0, out=out)
+    pol -= 1.0
+    pol *= params.P_s
+    return pol
 
 
 def c_layer(eps_r, t):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .montecarlo import McDistribution, ParamDist
-from .params import DeviceParams
+from .params import DEFAULT_CHUNK, DeviceParams
 from .solver import SolverConfig
 from .units import UnitError, to_si
 
@@ -122,7 +122,7 @@ DRIVE_KEYS = {
         "current": ("current", 250e-9, float),
         "width": ("time", 1e-5, float),
         "t_total": ("time", 3e-5, float),
-        "chunk": ("none", 256, int),
+        "chunk": ("none", DEFAULT_CHUNK, int),
         "edge": ("time", 1e-8, float),
     },
 }

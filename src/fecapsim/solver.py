@@ -487,7 +487,9 @@ def run_transient_batch(pb: ParamsBatch, wf: Waveform,
 
     ``init`` continues from a known state (e.g. the previous drive phase);
     without it the internal voltages are solved self-consistently from the
-    drive value at the first instant with p = ``cfg.p_init``.
+    drive value at the first instant with p = ``cfg.p_init``. The drive may
+    jump at the start of a continued run, so its prediction history begins
+    after the first step rather than at ``init``.
     """
     cfg = cfg or SolverConfig()
     if wf.values.ndim == 2 and wf.values.shape[1] not in (1, pb.n):
@@ -538,11 +540,15 @@ def run_transient_batch(pb: ParamsBatch, wf: Waveform,
         hist = hist[-2:] + [st]
         st, aux = _advance(k, st, t0, t1 - t0, drive_at, wf.mode, cfg,
                            cfg.max_step_halvings, stats, cols_all, _predict(hist))
+        if i == 1 and init is not None:
+            # The drive may jump at t0 (a clamp after a current pulse), so
+            # a continued run's history starts after its first step.
+            hist = []
         if i in rec_set:
             _record_row(out, row, t1, st, aux)
             row += 1
 
-    out["pol"] = polarization(out["p"], pb)
+    polarization(out["p"], pb, out=out["pol"])
     return TimeSeriesBatch(stats=stats, **out)
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fecapsim as fc
 from fecapsim.analyses import extract_loop_metrics, zero_crossings
@@ -52,6 +54,40 @@ class TestLoopExtraction:
         p = np.array([1.0, 1.0, 1.0])
         pr_pos, pr_neg, vc_pos, vc_neg = extract_loop_metrics(v, p)
         assert np.isnan(pr_pos) and np.isnan(vc_pos)
+
+
+def loop_zero_crossings(x, y):
+    """Reference: the sample-by-sample loop zero_crossings replaced."""
+    out = []
+    for i in range(len(x) - 1):
+        a, b = x[i], x[i + 1]
+        if a == 0.0:
+            if b != 0.0:
+                out.append((y[i], b > 0.0))
+        elif a * b < 0.0:
+            w = a / (a - b)
+            out.append((y[i] + w * (y[i + 1] - y[i]), b > a))
+    return out
+
+
+# Exact zeros and repeated values are drawn often, so on-zero samples,
+# zero runs and flat steps are all covered.
+_samples = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0)),
+                     st.floats(-1e3, 1e3, allow_subnormal=False))
+
+
+@settings(max_examples=500, deadline=None)
+@given(xy=st.integers(0, 40).flatmap(
+    lambda n: st.tuples(st.lists(_samples, min_size=n, max_size=n),
+                        st.lists(_samples, min_size=n, max_size=n))))
+def test_zero_crossings_match_loop(xy):
+    x, y = (np.array(c, dtype=np.float64) for c in xy)
+    got = zero_crossings(x, y)
+    want = loop_zero_crossings(x, y)
+    assert len(got) == len(want)
+    for (gv, ga), (wv, wa) in zip(got, want):
+        assert np.float64(gv).tobytes() == np.float64(wv).tobytes()
+        assert bool(ga) == bool(wa)
 
 
 class TestHysteresis:

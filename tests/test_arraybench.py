@@ -63,7 +63,7 @@ def test_size_validated(p25):
 
 
 def test_failures_counted_in_every_chunk(p25):
-    # each of the three chunks (256 + 256 + 88) fails on its own; the count
+    # each of the three chunks (200 + 200 + 200) fails on its own; the count
     # covers all of them, serially and from worker processes
     cfg = fc.SolverConfig(dt=2e-7, record_every=10**9, max_newton_iters=1,
                           max_step_halvings=0, newton_tol_v=1e-15)

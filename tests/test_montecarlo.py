@@ -1,9 +1,14 @@
+import subprocess
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import fecapsim as fc
-from fecapsim import montecarlo
+from fecapsim import analyses, montecarlo
 from fecapsim.montecarlo import McDistribution, ParamDist, ScenarioSpec
+from fecapsim.params import ParamsBatch
 from fecapsim.solver import StepFailureError
 
 
@@ -182,6 +187,126 @@ def test_failed_trials_excluded(base, quick_spec, monkeypatch):
     assert np.all(np.isnan(res.outputs["pr_pos"][list(expect_failed)]))
     ok = [i for i in range(12) if i not in expect_failed]
     assert np.all(np.isfinite(res.outputs["pr_pos"][ok]))
+
+
+def test_failed_chunk_rerun_by_halves(base, quick_spec, monkeypatch):
+    # a stand-in for the scenario, so that a whole 200-trial chunk costs
+    # nothing: each trial's output is its own t_int, which also checks that
+    # every half lands in its own rows
+    calls = []
+    threshold = 2.0e-9
+
+    def fake(spec, pb):
+        calls.append(pb.n)
+        if np.any(pb.t_int > threshold):
+            raise StepFailureError(1e-6, 1e-7, 1.0, 1.0, (0,))
+        return {k: pb.t_int.copy() for k in ("pr_pos", "pr_neg", "vc_pos", "vc_neg")}
+
+    monkeypatch.setattr(montecarlo, "_outputs_for_batch", fake)
+    n = 200
+    res = fc.run_mc(quick_spec, base, McDistribution.table_21c(), n, seed=3)
+    t_int = res.samples["t_int"]
+    bad = np.flatnonzero(t_int > threshold)
+    assert 1 <= bad.size <= 0.1 * n
+    assert res.failed_trials == tuple(int(i) for i in bad)
+    ok = np.ones(n, dtype=bool)
+    ok[bad] = False
+    assert np.array_equal(res.outputs["pr_pos"][ok], t_int[ok])
+    assert np.all(np.isnan(res.outputs["pr_pos"][bad]))
+    # one chunk, then at most two halves per level for each failing trial
+    assert calls[0] == n
+    assert len(calls) <= 1 + 2 * bad.size * int(np.ceil(np.log2(n)))
+
+
+def test_chunk_bounds_balanced_contiguous():
+    for n in (1, 2, 3, 7, 64, 100, 255, 256, 257, 600, 1000):
+        for width in (1, 7, 64, 256):
+            for workers in (1, 2, 3, 8):
+                bounds = montecarlo._chunk_bounds(n, width, workers)
+                sizes = [b - a for a, b in bounds]
+                assert bounds[0][0] == 0 and bounds[-1][1] == n
+                assert all(b0[1] == b1[0] for b0, b1 in zip(bounds, bounds[1:]))
+                assert max(sizes) - min(sizes) <= 1 and min(sizes) >= 1
+                assert max(sizes) <= width
+                assert len(bounds) == max(-(-n // width), min(workers, n))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", ["hysteresis", "program"])
+def test_run_mc_bitwise_across_chunk_widths(quick_spec, monkeypatch, kind, workers):
+    # in a program batch the devices end their 0 V clamps after different
+    # numbers of chunks; each must still get the bits of its lone run (width 1)
+    if kind == "hysteresis":
+        spec, base, n = quick_spec, fc.DeviceParams(), 9
+    else:
+        spec, base, n = ScenarioSpec("program", n_pulses=2), fc.DeviceParams(area=25e-12), 70
+    dist = McDistribution.table_21c()
+    clamp_widths = []
+    real = analyses.run_transient_batch
+
+    def spy(pb, wf, cfg=None, init=None):
+        if kind == "program" and wf.mode == "voltage":
+            clamp_widths.append(pb.n)
+        return real(pb, wf, cfg, init=init)
+
+    monkeypatch.setattr(analyses, "run_transient_batch", spy)
+    runs = []
+    for width in (montecarlo.DEFAULT_CHUNK, 7, 1):
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", width)
+        runs.append(fc.run_mc(spec, base, dist, n, seed=31, workers=workers))
+        if kind == "program" and width > n and workers == 1:
+            # one batch of all n, whose later clamps ran without the
+            # devices that had settled
+            assert any(1 < m < n for m in clamp_widths)
+    first = runs[0]
+    assert first.failed_trials == ()
+    for res in runs[1:]:
+        for k in first.outputs:
+            assert first.outputs[k].tobytes() == res.outputs[k].tobytes(), k
+        for k in first.samples:
+            assert first.samples[k].tobytes() == res.samples[k].tobytes(), k
+
+
+@pytest.mark.parametrize("spec", [
+    ScenarioSpec("hysteresis", frequency=1e3, n_cycles=2, dt=2e-6),
+    ScenarioSpec("hysteresis", frequency=1e4, n_cycles=3),
+    ScenarioSpec("kinetics", amplitude=2.0, widths=(1e-7, 1e-5)),
+    ScenarioSpec("program", n_pulses=1),
+], ids=["hyst-dt", "hyst-default", "kinetics", "program"])
+def test_record_rows_match_the_runs(base, spec, monkeypatch):
+    rows = []
+    real = analyses.run_transient_batch
+
+    def spy(pb, wf, cfg=None, init=None):
+        ts = real(pb, wf, cfg, init=init)
+        rows.append(ts.t.size)
+        return ts
+
+    monkeypatch.setattr(analyses, "run_transient_batch", spy)
+    montecarlo._outputs_for_batch(spec, ParamsBatch.from_params(base, 1))
+    assert montecarlo._record_rows(spec) == max(rows)
+
+
+def test_batch_width_capped_by_record_budget():
+    short = ScenarioSpec("hysteresis", frequency=1e3, n_cycles=2, dt=2e-6)
+    assert montecarlo._record_rows(short) == 1001
+    assert montecarlo._batch_width(short) == montecarlo.DEFAULT_CHUNK
+    for n_cycles in (10, 30, 2000):
+        spec = replace(short, n_cycles=n_cycles)
+        width = montecarlo._batch_width(spec)
+        rows = montecarlo._record_rows(spec)
+        assert width >= 1
+        assert width == 1 or width * rows * montecarlo._ROW_BYTES <= montecarlo._RECORD_BUDGET
+        assert (width + 1) * rows * montecarlo._ROW_BYTES > montecarlo._RECORD_BUDGET
+
+
+def test_import_starts_no_pool_machinery():
+    code = ("import sys, fecapsim; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_too_many_failures_error(base, quick_spec, monkeypatch):

@@ -188,6 +188,34 @@ def test_prediction_restarts_at_breakpoints(params, monkeypatch):
     assert stats.halvings == 0
 
 
+def test_continued_run_history_skips_the_jump(monkeypatch):
+    # the 0 V clamp after a current pulse jumps the drive at the start of a
+    # continued run; a prediction through the pre-jump state starts steps 2
+    # and 3 of the discharge far from their root
+    from fecapsim import solver
+
+    runs = []
+    real_step = solver._solve_step
+    real_batch = analyses.run_transient_batch
+
+    def step(*args, **kwargs):
+        out = real_step(*args, **kwargs)
+        runs[-1].append(out[4])
+        return out
+
+    def batch(*args, **kwargs):
+        runs.append([])
+        return real_batch(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_solve_step", step)
+    monkeypatch.setattr(analyses, "run_transient_batch", batch)
+    fc.current_program(fc.DeviceParams(area=25e-12), 250e-9, 10e-6, 1,
+                       edge=10e-9, cfg=fc.SolverConfig(dt=4e-7))
+    assert len(runs) >= 2
+    for evals in runs:
+        assert max(evals[1:]) <= 6, evals
+
+
 def test_record_decimation(params):
     cfg = fc.SolverConfig(dt=1e-6, record_every=7)
     ts = fc.run_transient(params, hold(0.5, 1e-4), cfg)
