@@ -18,13 +18,10 @@ import numpy as np
 from .params import DeviceParams, N_DEPL_PRISTINE, ParamsBatch
 from .physics import polarization
 from .solver import (
-    _TS_COLUMNS,
-    _TS_EXTRAS,
     _State,
     SolveStats,
     SolverConfig,
     TimeSeries,
-    TimeSeriesBatch,
     batch_final_state,
     run_transient_batch,
 )
@@ -236,21 +233,15 @@ def _concat_batches(parts):
     Each phase starts where the previous one ended; the repeated joint rows
     are dropped.
     """
-    arrays = {}
-    for name in _TS_COLUMNS + _TS_EXTRAS:
-        if name != "t":
-            chunks = [getattr(parts[0], name)]
-            for part in parts[1:]:
-                chunks.append(getattr(part, name)[1:])
-            arrays[name] = np.concatenate(chunks, axis=0)
+    arrays = {name: np.concatenate([a] + [getattr(part, name)[1:] for part in parts[1:]])
+              for name, a in parts[0].columns().items() if name != "t"}
     times = [parts[0].t]
     for part in parts[1:]:
         times.append(times[-1][-1] + part.t[1:])
-    arrays["t"] = np.concatenate(times)
     stats = SolveStats()
     for part in parts:
         stats.merge(part.stats)
-    return TimeSeriesBatch(stats=stats, **arrays)
+    return TimeSeries(t=np.concatenate(times), stats=stats, **arrays)
 
 
 def current_program_batch(pb: ParamsBatch, pulse_current: float,
@@ -271,7 +262,7 @@ def current_program_batch(pb: ParamsBatch, pulse_current: float,
     hold of ``gap``. Every phase is timed from its own start, so a device's
     result does not depend on how long the others took to discharge. If
     *runs* is a list, each transient is appended to it as (device indices,
-    TimeSeriesBatch) in the order run.
+    TimeSeries) in the order run.
     """
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")

@@ -9,6 +9,7 @@ densities); everything else stays SI.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,9 @@ from .arraybench import BenchReport
 from .montecarlo import McResult
 from .solver import TimeSeries
 
-TIMESERIES_HEADER = ("t_s", "V_appl_V", "I_A", "p", "P_uC_cm2", "V_fe_V",
-                     "V_int_V", "phi_depl_V", "J_pf_A_cm2", "J_fn_A_cm2")
+# (field name, CSV header, output scale) of each TimeSeries column written.
+_TS_CSV = [(f.name, *f.metadata["csv"]) for f in fields(TimeSeries) if "csv" in f.metadata]
+TIMESERIES_HEADER = tuple(header for _, header, _ in _TS_CSV)
 
 # C/m^2 -> uC/cm^2 and A/m^2 -> A/cm^2
 _P_OUT = 1e2
@@ -56,9 +58,9 @@ def read_csv(path):
 
 
 def timeseries_csv(ts: TimeSeries, path) -> None:
-    rows = zip(ts.t, ts.v_appl, ts.i, ts.p, ts.pol * _P_OUT, ts.v_fe,
-               ts.v_int, ts.phi_depl, ts.j_pf * _J_OUT, ts.j_fn * _J_OUT)
-    write_rows(path, TIMESERIES_HEADER, rows)
+    cols = [getattr(ts, name) if scale is None else getattr(ts, name) * scale
+            for name, _, scale in _TS_CSV]
+    write_rows(path, TIMESERIES_HEADER, zip(*cols))
 
 
 def hysteresis_loop_csv(res: HysteresisResult, path) -> None:

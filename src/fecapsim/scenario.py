@@ -14,6 +14,7 @@ the calibrated parameter table), so a parsed Scenario is fully concrete;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -126,6 +127,15 @@ DRIVE_KEYS = {
         "edge": ("time", 1e-8, float),
     },
 }
+
+# Least value of numeric [drive] keys, checked on every element: (bound,
+# strict). Durations, rates and the C-V probe step must be > 0; a
+# hysteresis run needs a second cycle, since its first is the preset.
+_DRIVE_LEAST = dict.fromkeys(("frequency", "width", "widths", "preset_width", "settle",
+                              "edge", "gap", "max_discharge", "t_total", "delta_v"),
+                             (0.0, True))
+_DRIVE_LEAST.update(cycles=(1, False), pulses=(1, False), points=(2, False),
+                    sizes=(1, False), chunk=(1, False))
 
 SOLVER_KEYS = {
     "dt": ("time", None, float),
@@ -271,11 +281,16 @@ def _parse_scalar(raw: str, quantity: str, pytype, key: str, line: int):
         items = [float(tok) for tok in nums.replace(" ", "").split(",") if tok]
     except ValueError:
         raise ScenarioError(f"{key}: cannot parse number from '{raw}'", line) from None
+    values = [_to_si_checked(v, unit, quantity, key, line) for v in items]
+    if not all(math.isfinite(v) for v in values):
+        raise ScenarioError(f"{key}: expected finite numbers, got '{raw}'", line)
     if pytype is list:
-        return tuple(_to_si_checked(v, unit, quantity, key, line) for v in items)
-    if len(items) != 1:
+        if not values:
+            raise ScenarioError(f"{key}: expected one or more values", line)
+        return tuple(values)
+    if len(values) != 1:
         raise ScenarioError(f"{key}: expected a single value, got '{raw}'", line)
-    value = _to_si_checked(items[0], unit, quantity, key, line)
+    value = values[0]
     if pytype is int:
         if value != int(value):
             raise ScenarioError(f"{key}: expected an integer, got '{raw}'", line)
@@ -377,7 +392,8 @@ def parse_scenario(text: str, kind: Optional[str] = None) -> Scenario:
     kind_for_drive = mc.scenario if resolved_kind == "mc" else resolved_kind
     drive_table = DRIVE_KEYS[kind_for_drive]
     drive = {k: spec[1] for k, spec in drive_table.items()}
-    for key, (raw, line) in sections.get("drive", {}).items():
+    drive_raw = sections.get("drive", {})
+    for key, (raw, line) in drive_raw.items():
         if key not in drive_table:
             raise ScenarioError(
                 f"unknown key '{key}' in [drive] for kind '{kind_for_drive}'", line)
@@ -386,20 +402,27 @@ def parse_scenario(text: str, kind: Optional[str] = None) -> Scenario:
             mode_raw = sections.get("drive", {}).get("mode")
             mode = (mode_raw[0].strip() if mode_raw else drive.get("mode", "voltage"))
             quantity = "voltage" if mode == "voltage" else "current"
-        drive[key] = _parse_scalar(raw, quantity, pytype, key, line)
+        drive[key] = value = _parse_scalar(raw, quantity, pytype, key, line)
+        if key not in _DRIVE_LEAST:
+            continue
+        bound, strict = _DRIVE_LEAST[key]
+        if (kind_for_drive, key) == ("hysteresis", "cycles"):
+            bound = 2
+        for v in value if isinstance(value, tuple) else (value,):
+            if v < bound or (strict and v == bound):
+                raise ScenarioError(f"{key}: must be {'>' if strict else '>='} {bound:g}, "
+                                    f"got {v:g}", line)
     if kind_for_drive == "transient":
         if drive["mode"] not in ("voltage", "current"):
             raise ScenarioError(f"transient mode must be voltage or current, "
                                 f"got '{drive['mode']}'")
         if len(drive["times"]) != len(drive["values"]):
             raise ScenarioError("transient times and values must have equal length")
+        # The default times increase, so only a given list can fail here.
+        if any(b <= a for a, b in zip(drive["times"], drive["times"][1:])):
+            raise ScenarioError("times: must be strictly increasing", drive_raw["times"][1])
     if kind_for_drive == "bench":
         drive["sizes"] = tuple(int(s) for s in drive["sizes"])
-        if any(s < 1 for s in drive["sizes"]):
-            raise ScenarioError("sizes: array sizes must be >= 1",
-                                sections["drive"]["sizes"][1])
-        if drive["chunk"] < 1:
-            raise ScenarioError("chunk: must be >= 1", sections["drive"]["chunk"][1])
 
     # [solver]
     solver = {k: spec[1] for k, spec in SOLVER_KEYS.items()}

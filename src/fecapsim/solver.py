@@ -21,15 +21,17 @@ Every implicit solve reduces exactly to one scalar equation per device:
 All of them go through :func:`_root`, a bracketed Newton iteration whose
 slope comes from a forward-difference probe evaluated in the same call.
 The step's residual is one fused pass over :class:`~fecapsim.physics.Coeffs`,
-the parameter-only constants, which are built once per batch.
-Each device iterates on its own and stops once converged, so its result
-never depends on the rest of the batch. A base step's Newton start is
-predicted per device, as in SPICE: the polynomial through the accepted
-states since the current breakpoint interval began, of degree 0, 1 or 2 as
-that history grows. It restarts at every breakpoint, where the drive's
-slope may change. When a step does not converge the failing devices halve it
-and solve the two halves recursively, each half starting from its previous
-state.
+the parameter-only constants, built once per batch. Each device iterates on
+its own and stops once converged, so its result never depends on the rest
+of the batch. A base step's Newton start is predicted per device, as in
+SPICE, from the accepted states since the current breakpoint began; a step
+that does not converge is halved for the failing devices only.
+
+A converged step yields one row of the record: its fields are named after
+the :class:`TimeSeries` columns, and its first four are the next step's
+state. ``TimeSeries`` is the one column list, for one device or a batch:
+recording, :meth:`TimeSeries.device`, the joining of phases and the CSV
+all follow its fields.
 
 Everything is vectorized over a device axis: a batch of n independent
 devices advances in one pass, and a single device is just n = 1.
@@ -37,7 +39,7 @@ devices advances in one pass, and a single device is just n = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -167,22 +169,27 @@ class _State(NamedTuple):
     p: np.ndarray
     v_fe: np.ndarray
     v_int: np.ndarray
-    v_app: np.ndarray
+    v_appl: np.ndarray
 
 
 class _StepAux(NamedTuple):
-    """Per-device quantities of a converged (or trial) step."""
+    """Per-device quantities of a converged (or trial) step.
 
-    p_n: np.ndarray
+    Each is named after the :class:`TimeSeries` column it is recorded under;
+    the first four are the step's end state (:class:`_State`).
+    """
+
+    p: np.ndarray
+    v_fe: np.ndarray
     v_int: np.ndarray
-    v_app: np.ndarray
-    phi: np.ndarray
+    v_appl: np.ndarray
+    i: np.ndarray
+    phi_depl: np.ndarray
     j_pf: np.ndarray
     j_fn: np.ndarray
     j_pol: np.ndarray
-    i_term: np.ndarray
-    r_loop: np.ndarray
-    r_kcl: np.ndarray
+    loop_residual: np.ndarray
+    kcl_residual: np.ndarray
 
 
 def _scatter(full, idx, sub):
@@ -193,29 +200,34 @@ def _scatter(full, idx, sub):
     return full._make(out)
 
 
-_TS_COLUMNS = ("t", "v_appl", "i", "p", "pol", "v_fe", "v_int",
-               "phi_depl", "j_pf", "j_fn")
-_TS_EXTRAS = ("j_pol", "loop_residual", "kcl_residual")
+def _csv(header: str, scale: Optional[float] = None):
+    """A contractual column: its CSV header and output scale (None: as is)."""
+    return field(metadata={"csv": (header, scale)})
 
 
 @dataclass
 class TimeSeries:
-    """Recorded transient of one device (SI units).
+    """Recorded transient (SI units) of one device or of a device batch.
 
-    ``j_pol``, ``loop_residual`` and ``kcl_residual`` are solver diagnostics
-    carried alongside the contractual columns.
+    Each column holds one value per recorded row: shape (rows,) for one
+    device and (rows, n) for a batch of n, whose ``t`` stays (rows,). These
+    fields are the one column list: the solver records, phases join and the
+    CSV writes them in this order, each under the header and output scale in
+    its metadata (C/m^2 -> uC/cm^2, A/m^2 -> A/cm^2). ``j_pol``,
+    ``loop_residual`` and ``kcl_residual`` are solver diagnostics without a
+    CSV column.
     """
 
-    t: np.ndarray
-    v_appl: np.ndarray
-    i: np.ndarray
-    p: np.ndarray
-    pol: np.ndarray
-    v_fe: np.ndarray
-    v_int: np.ndarray
-    phi_depl: np.ndarray
-    j_pf: np.ndarray
-    j_fn: np.ndarray
+    t: np.ndarray = _csv("t_s")
+    v_appl: np.ndarray = _csv("V_appl_V")
+    i: np.ndarray = _csv("I_A")
+    p: np.ndarray = _csv("p")
+    pol: np.ndarray = _csv("P_uC_cm2", 1e2)
+    v_fe: np.ndarray = _csv("V_fe_V")
+    v_int: np.ndarray = _csv("V_int_V")
+    phi_depl: np.ndarray = _csv("phi_depl_V")
+    j_pf: np.ndarray = _csv("J_pf_A_cm2", 1e-4)
+    j_fn: np.ndarray = _csv("J_fn_A_cm2", 1e-4)
     j_pol: np.ndarray = None
     loop_residual: np.ndarray = None
     kcl_residual: np.ndarray = None
@@ -224,41 +236,22 @@ class TimeSeries:
     def __len__(self):
         return self.t.size
 
-    def charge(self) -> np.ndarray:
-        """Cumulative terminal charge by trapezoidal integration, coulombs."""
-        if self.t.size < 2:
-            return np.zeros_like(self.t)
-        dq = 0.5 * (self.i[1:] + self.i[:-1]) * np.diff(self.t)
-        return np.concatenate([[0.0], np.cumsum(dq)])
+    def columns(self) -> dict:
+        """Every column by name, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "stats"}
 
-
-@dataclass
-class TimeSeriesBatch:
-    """Recorded transient of a device batch; column arrays are (rows, n)."""
-
-    t: np.ndarray
-    v_appl: np.ndarray
-    i: np.ndarray
-    p: np.ndarray
-    pol: np.ndarray
-    v_fe: np.ndarray
-    v_int: np.ndarray
-    phi_depl: np.ndarray
-    j_pf: np.ndarray
-    j_fn: np.ndarray
-    j_pol: np.ndarray
-    loop_residual: np.ndarray
-    kcl_residual: np.ndarray
-    stats: SolveStats = field(default_factory=SolveStats)
-
-    @property
-    def n_devices(self) -> int:
-        return self.p.shape[1]
-
-    def device(self, i: int) -> TimeSeries:
-        cols = {name: getattr(self, name)[:, i] for name in _TS_COLUMNS + _TS_EXTRAS
-                if name != "t"}
+    def device(self, i: int) -> "TimeSeries":
+        """Device *i* of a batch record."""
+        cols = {name: a[:, i] for name, a in self.columns().items() if name != "t"}
         return TimeSeries(t=self.t.copy(), stats=self.stats, **cols)
+
+    def charge(self) -> np.ndarray:
+        """Cumulative terminal charge by trapezoidal integration along the
+        rows, coulombs; shaped like ``i``."""
+        if self.t.size < 2:
+            return np.zeros_like(self.i)
+        dq = (0.5 * (self.i[1:] + self.i[:-1]).T * np.diff(self.t)).T
+        return np.concatenate([np.zeros_like(self.i[:1]), np.cumsum(dq, axis=0)])
 
 
 def _root(fun, x0: np.ndarray, tol_f, tol_x, max_iters: int):
@@ -332,7 +325,7 @@ def _make_step(k: Coeffs, prev: _State, dt: float):
         j_pol = pol_dt * (p_n - prev.p)
         j_fe = c_fe_dt * (v_fe - prev.v_fe) + j_pol + jpf
         r_loop = v_app - v_fe - v_int - phi
-        return _StepAux(p_n, v_int, v_app, phi, jpf, jfn, j_pol, k.area * j_int,
+        return _StepAux(p_n, v_fe, v_int, v_app, k.area * j_int, phi, jpf, jfn, j_pol,
                         r_loop, k.area * (j_fe - j_int))
 
     return at, interface
@@ -342,7 +335,7 @@ def _solve_step(k: Coeffs, st: _State, dt: float, drive_end: np.ndarray,
                 mode: str, cfg: SolverConfig, guess=None):
     """One implicit step as scalar root-finds.
 
-    Returns (state, aux, conv, Newton iterations, residual evaluations).
+    Returns (aux, conv, Newton iterations, residual evaluations).
     Under current drive V_int is solved first, from the interface branch
     alone carrying the drive current; V_fe then balances the internal-node
     KCL in both modes. The root-finds start from *guess*, a (V_fe, V_int)
@@ -365,13 +358,11 @@ def _solve_step(k: Coeffs, st: _State, dt: float, drive_end: np.ndarray,
 
     def kcl(v_fe):
         aux = at(v_fe, v_int, v_app, iface)
-        return aux.r_kcl, aux
+        return aux.kcl_residual, aux
 
-    v_fe, _, conv_fe, iters_fe, aux = _root(kcl, v_fe0, tol_i, cfg.newton_tol_v,
-                                            cfg.max_newton_iters)
-    aux = _StepAux(*aux)
-    st_new = _State(aux.p_n, v_fe, aux.v_int, aux.v_app)
-    return st_new, aux, conv & conv_fe, iters + iters_fe, iters_fe + 1
+    _, _, conv_fe, iters_fe, aux = _root(kcl, v_fe0, tol_i, cfg.newton_tol_v,
+                                         cfg.max_newton_iters)
+    return _StepAux(*aux), conv & conv_fe, iters + iters_fe, iters_fe + 1
 
 
 def _initial_state(k: Coeffs, v_app0: np.ndarray, p_init, t0: float) -> _State:
@@ -402,27 +393,26 @@ def _advance(k: Coeffs, st: _State, t0: float, dt: float, drive_at,
              cols: np.ndarray, guess=None):
     """Advance every device by exactly *dt*, halving locally on failure.
 
-    *guess* is the predicted start of the step's root-finds (see
-    :func:`_predict`); the halves of a failed step start from their
-    previous state.
+    Returns the converged step's :class:`_StepAux`. *guess* is the
+    predicted start of the step's root-finds (see :func:`_predict`); the
+    halves of a failed step start from their previous state.
     """
     drive_end = drive_at(t0 + dt, cols)
-    st_new, aux, conv, iters, evals = _solve_step(k, st, dt, drive_end, mode, cfg,
-                                                  guess)
+    aux, conv, iters, evals = _solve_step(k, st, dt, drive_end, mode, cfg, guess)
     stats.steps += 1
     stats.newton_iters += iters
     stats.residual_evals += evals
     if conv.all():
-        return st_new, aux
+        return aux
 
     bad = np.flatnonzero(~conv)
     if depth <= 0:
-        kcl = np.abs(aux.r_kcl[bad])
+        kcl = np.abs(aux.kcl_residual[bad])
         if mode == CURRENT:
-            kcl = np.maximum(kcl, np.abs(aux.i_term[bad] - drive_end[bad]))
+            kcl = np.maximum(kcl, np.abs(aux.i[bad] - drive_end[bad]))
         raise StepFailureError(
             t=t0 + dt, dt=dt,
-            loop_residual=float(np.max(np.abs(aux.r_loop[bad]))),
+            loop_residual=float(np.max(np.abs(aux.loop_residual[bad]))),
             kcl_residual=float(np.max(kcl)),
             device_indices=cols[bad],
         )
@@ -432,11 +422,11 @@ def _advance(k: Coeffs, st: _State, t0: float, dt: float, drive_at,
     sub_st = _State(*(a[bad] for a in st))
     sub_cols = cols[bad]
     half = 0.5 * dt
-    st_a, _ = _advance(sub_k, sub_st, t0, half, drive_at, mode, cfg,
-                       depth - 1, stats, sub_cols)
-    st_b, aux_b = _advance(sub_k, st_a, t0 + half, half, drive_at, mode, cfg,
-                           depth - 1, stats, sub_cols)
-    return _scatter(st_new, bad, st_b), _scatter(aux, bad, aux_b)
+    aux_a = _advance(sub_k, sub_st, t0, half, drive_at, mode, cfg,
+                     depth - 1, stats, sub_cols)
+    aux_b = _advance(sub_k, _State(*aux_a[:4]), t0 + half, half, drive_at, mode,
+                     cfg, depth - 1, stats, sub_cols)
+    return _scatter(aux, bad, aux_b)
 
 
 def _predict(hist):
@@ -456,34 +446,28 @@ def _predict(hist):
     return 3.0 * (a.v_fe - b.v_fe) + c.v_fe, 3.0 * (a.v_int - b.v_int) + c.v_int
 
 
-def _record_row(out: dict, row: int, t: float, st: _State, aux: _StepAux):
-    out["t"][row] = t
-    out["v_appl"][row] = st.v_app
-    out["i"][row] = aux.i_term
-    out["p"][row] = st.p
-    out["v_fe"][row] = st.v_fe
-    out["v_int"][row] = st.v_int
-    out["phi_depl"][row] = aux.phi
-    out["j_pf"][row] = aux.j_pf
-    out["j_fn"][row] = aux.j_fn
-    out["j_pol"][row] = aux.j_pol
-    out["loop_residual"][row] = aux.r_loop
-    out["kcl_residual"][row] = aux.r_kcl
-
-
 def run_transient_batch(pb: ParamsBatch, wf: Waveform,
                         cfg: Optional[SolverConfig] = None,
-                        init: Optional[_State] = None) -> TimeSeriesBatch:
+                        init: Optional[_State] = None) -> TimeSeries:
     """Integrate a batch of independent devices over one drive waveform.
+
+    Returns a :class:`TimeSeries` whose columns are shaped (rows, n). The
+    drive is shared by every device (1-D values, or a single column) or
+    gives each device its own column.
 
     The base time grid subdivides every waveform breakpoint interval by the
     configured dt; failed steps are halved locally (per device) up to
     ``max_step_halvings`` levels. Each base step's root-finds start from a
     per-device prediction extrapolated from the accepted states of the
     current breakpoint interval; the prediction restarts at every
-    breakpoint, where the drive's slope may change. Rows are recorded on the
-    base grid every ``record_every`` steps, always including the first and
-    last instants.
+    breakpoint, where the drive's slope may change.
+
+    Rows are recorded on the base grid: the first instant, every
+    ``record_every``-th step and the last instant. A step's row is its
+    converged :class:`_StepAux`, whose fields carry the column names, plus
+    ``t`` and ``pol``; the next step starts from that row's state. The
+    first row holds the initial split with no polarization current and no
+    KCL residual.
 
     ``init`` continues from a known state (e.g. the previous drive phase);
     without it the internal voltages are solved self-consistently from the
@@ -498,9 +482,10 @@ def run_transient_batch(pb: ParamsBatch, wf: Waveform,
     n = pb.n
     cols_all = np.arange(n)
     k = Coeffs.of(pb)
+    per_device = wf.values.ndim == 2 and wf.values.shape[1] > 1
 
     def drive_at(t, cols):
-        v = wf.value_at(t, cols if wf.values.ndim == 2 else None)
+        v = wf.value_at(t, cols if per_device else None)
         return np.broadcast_to(np.asarray(v, dtype=np.float64), (len(cols),))
 
     if init is not None:
@@ -510,52 +495,50 @@ def run_transient_batch(pb: ParamsBatch, wf: Waveform,
         v_app0 = v_drive0 if wf.mode == VOLTAGE else np.zeros(n)
         st = _initial_state(k, v_app0, cfg.p_init, grid[0])
 
-    n_steps = grid.size - 1
-    rec_idx = [0] + [i for i in range(1, n_steps + 1)
-                     if i % cfg.record_every == 0 or i == n_steps]
-    rec_set = set(rec_idx)
-    n_rows = len(rec_idx)
-    out = {name: np.empty((n_rows, n)) for name in _TS_COLUMNS + _TS_EXTRAS}
+    n_steps, every = grid.size - 1, cfg.record_every
+    # Step i lands in row ceil(i / every).
+    n_rows = 1 + -(-n_steps // every)
+    out = {name: np.empty((n_rows, n)) for name in _StepAux._fields + ("pol",)}
     out["t"] = np.empty(n_rows)
     stats = SolveStats()
 
-    phi0 = k.phi(st.p, k.c_fe * st.v_fe)
-    j_fn0 = k.j_fn(st.v_int * k.inv_t_int)
-    aux0 = _StepAux(
-        p_n=st.p, v_int=st.v_int, v_app=st.v_app, phi=phi0,
-        j_pf=k.j_pf(st.v_fe * k.inv_t_fe), j_fn=j_fn0, j_pol=np.zeros(n),
-        i_term=k.area * j_fn0,
-        r_loop=st.v_app - st.v_fe - st.v_int - phi0,
-        r_kcl=np.zeros(n),
-    )
-    _record_row(out, 0, grid[0], st, aux0)
+    def record(row, t, aux):
+        out["t"][row] = t
+        for name, a in zip(aux._fields, aux):
+            out[name][row] = a
+
+    phi = k.phi(st.p, k.c_fe * st.v_fe)
+    j_fn = k.j_fn(st.v_int * k.inv_t_int)
+    zero = np.zeros(n)
+    record(0, grid[0], _StepAux(
+        *st, i=k.area * j_fn, phi_depl=phi, j_pf=k.j_pf(st.v_fe * k.inv_t_fe),
+        j_fn=j_fn, j_pol=zero, loop_residual=st.v_appl - st.v_fe - st.v_int - phi,
+        kcl_residual=zero))
 
     # Breakpoint interval of each base step.
     seg = np.searchsorted(wf.times, 0.5 * (grid[:-1] + grid[1:])).tolist()
-    row = 1
     for i in range(1, n_steps + 1):
         t0, t1 = grid[i - 1], grid[i]
         if i == 1 or seg[i - 1] != seg[i - 2]:
             hist = []
         hist = hist[-2:] + [st]
-        st, aux = _advance(k, st, t0, t1 - t0, drive_at, wf.mode, cfg,
-                           cfg.max_step_halvings, stats, cols_all, _predict(hist))
+        aux = _advance(k, st, t0, t1 - t0, drive_at, wf.mode, cfg,
+                       cfg.max_step_halvings, stats, cols_all, _predict(hist))
+        st = _State(*aux[:4])
         if i == 1 and init is not None:
             # The drive may jump at t0 (a clamp after a current pulse), so
             # a continued run's history starts after its first step.
             hist = []
-        if i in rec_set:
-            _record_row(out, row, t1, st, aux)
-            row += 1
+        if i % every == 0 or i == n_steps:
+            record(-(-i // every), t1, aux)
 
     polarization(out["p"], pb, out=out["pol"])
-    return TimeSeriesBatch(stats=stats, **out)
+    return TimeSeries(stats=stats, **out)
 
 
-def batch_final_state(ts: TimeSeriesBatch) -> _State:
+def batch_final_state(ts: TimeSeries) -> _State:
     """State at the last recorded row, for continuing into a next phase."""
-    return _State(ts.p[-1].copy(), ts.v_fe[-1].copy(), ts.v_int[-1].copy(),
-                  ts.v_appl[-1].copy())
+    return _State(*(getattr(ts, name)[-1].copy() for name in _State._fields))
 
 
 def run_transient(params: DeviceParams, wf: Waveform,
@@ -579,19 +562,15 @@ def solve_timestep(state: DeviceState, dt: float, drive_value: float,
         raise ValueError("dt must be > 0")
     cfg = cfg or SolverConfig()
     k = Coeffs.of(ParamsBatch.from_params(params, 1))
-    st = _State(
-        p=np.array([state.p], dtype=np.float64),
-        v_fe=np.array([state.v_fe], dtype=np.float64),
-        v_int=np.array([state.v_int], dtype=np.float64),
-        v_app=np.array([drive_value if mode == VOLTAGE else 0.0]),
-    )
+    st = _State(*(np.array([x], dtype=np.float64) for x in (
+        state.p, state.v_fe, state.v_int, drive_value if mode == VOLTAGE else 0.0)))
     stats = SolveStats()
 
     def drive_at(t, cols):
         return np.full(len(cols), drive_value)
 
-    new, _aux = _advance(k, st, state.t, dt, drive_at, mode, cfg,
-                         cfg.max_step_halvings, stats, np.arange(1))
+    new = _advance(k, st, state.t, dt, drive_at, mode, cfg,
+                   cfg.max_step_halvings, stats, np.arange(1))
     return DeviceState(p=float(new.p[0]), v_fe=float(new.v_fe[0]),
                        v_int=float(new.v_int[0]), t=state.t + dt)
 
@@ -610,17 +589,13 @@ def step_residual(state_next: DeviceState, state_prev: DeviceState, dt: float,
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
     k = Coeffs.of(ParamsBatch.from_params(params, 1))
-    prev = _State(
-        p=np.array([state_prev.p], dtype=np.float64),
-        v_fe=np.array([state_prev.v_fe], dtype=np.float64),
-        v_int=np.array([state_prev.v_int], dtype=np.float64),
-        v_app=np.array([0.0]),
-    )
+    prev = _State(*(np.array([x], dtype=np.float64)
+                    for x in (state_prev.p, state_prev.v_fe, state_prev.v_int, 0.0)))
     at, _ = _make_step(k, prev, dt)
     v_app = drive_value if mode == VOLTAGE else v_appl_trial
     aux = at(np.array([state_next.v_fe]), np.array([state_next.v_int]),
              np.array([v_app], dtype=np.float64))
-    r = (aux.r_loop, aux.r_kcl)
+    r = (aux.loop_residual, aux.kcl_residual)
     if mode == CURRENT:
-        r += (aux.i_term - drive_value,)
+        r += (aux.i - drive_value,)
     return tuple(float(v[0]) for v in r)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fecapsim as fc
-from fecapsim.analyses import extract_loop_metrics, zero_crossings
+from fecapsim.analyses import current_program_batch, extract_loop_metrics, zero_crossings
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +178,33 @@ class TestCurrentProgram:
         trace = fc.current_program(p25, 250e-9, 1e-5, 2, discharge_between=False,
                                    gap=2e-5, cfg=fc.SolverConfig(dt=5e-7))
         assert trace.polarization_after.shape == (2,)
+
+
+    def test_timeseries_joins_its_phases(self, params):
+        # the trace is every pulse and clamp record end to end: each phase is
+        # timed from its own start and its first row repeats the previous
+        # phase's last, so that row is dropped and its times are shifted
+        p25 = params.replace(area=25e-12)
+        cfg = fc.SolverConfig(dt=4e-7)
+        trace = fc.current_program(p25, 250e-9, 1e-5, 3, cfg=cfg)
+        runs = []
+        current_program_batch(fc.ParamsBatch.from_params(p25, 1), 250e-9, 1e-5, 3,
+                              cfg=cfg, runs=runs)
+        parts = [ts.device(0) for _, ts in runs]
+        assert len(parts) > 3
+        ts = trace.timeseries
+        assert len(ts) == sum(map(len, parts)) - (len(parts) - 1)
+        row, t_end = 0, 0.0
+        for k, part in enumerate(parts):
+            assert part.t[0] == 0.0
+            skip = min(k, 1)
+            rows = slice(row, row + len(part) - skip)
+            for name, col in part.columns().items():
+                want = t_end + col[skip:] if name == "t" and k else col[skip:]
+                assert np.array_equal(getattr(ts, name)[rows], want), (k, name)
+            row, t_end = rows.stop, ts.t[rows.stop - 1]
+        assert row == len(ts)
+        assert ts.stats.steps == sum(part.stats.steps for part in parts)
 
 
 class TestPristine:

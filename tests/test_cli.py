@@ -2,6 +2,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 
 def run_cli(*args):
     cmd = [sys.executable, "-m", "fecapsim", *args]
@@ -93,6 +95,27 @@ def test_bench_zero_size_exit_1(tmp_path):
         cp = run_cli("bench", "--scenario", str(scen), "--out", str(tmp_path))
         assert_clean_usage_error(cp)
         assert "line 3" in cp.stderr
+
+
+@pytest.mark.parametrize("kind, drive", [
+    ("hysteresis", "amplitude = nan V"),
+    ("hysteresis", "frequency = inf Hz"),
+    ("hysteresis", "frequency = 0 Hz"),
+    ("hysteresis", "frequency = -1 kHz"),
+    ("hysteresis", "cycles = 1"),
+    ("program", "pulses = 0"),
+    ("program", "width = -1 us"),
+    ("transient", "times = 0, 1e-6, 0.5e-6 s\nvalues = 0, 1, 0 V"),
+    ("transient", "values = 0, nan"),
+    ("kinetics", "widths = us"),
+])
+def test_bad_drive_value_exit_1(tmp_path, kind, drive):
+    scen = tmp_path / "scen.cfg"
+    scen.write_text(f"[drive]\n{drive}\n")
+    cp = run_cli(kind, "--scenario", str(scen), "--out", str(tmp_path))
+    assert cp.returncode == 1
+    assert cp.stderr.startswith("error: line 2: ")
+    assert "Traceback" not in cp.stderr
 
 
 def test_kind_mismatch_exit_1(tmp_path):

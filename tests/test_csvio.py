@@ -39,11 +39,13 @@ def test_round_trip_relative_error(tmp_path):
     csvio.timeseries_csv(ts, path)
     header, data = csvio.read_csv(path)
     assert data.shape == (50, 10)
-    # paper units back to SI
-    np.testing.assert_allclose(data[:, 0], ts.t, rtol=5e-9)
-    np.testing.assert_allclose(data[:, 2], ts.i, rtol=5e-9)
-    np.testing.assert_allclose(data[:, 4] * 1e-2, ts.pol, rtol=5e-9)
-    np.testing.assert_allclose(data[:, 8] * 1e4, ts.j_pf, rtol=5e-9)
+    # paper units back to SI, column by column
+    to_si = [("t", 1.0), ("v_appl", 1.0), ("i", 1.0), ("p", 1.0), ("pol", 1e-2),
+             ("v_fe", 1.0), ("v_int", 1.0), ("phi_depl", 1.0), ("j_pf", 1e4),
+             ("j_fn", 1e4)]
+    for j, (name, scale) in enumerate(to_si):
+        np.testing.assert_allclose(data[:, j] * scale, getattr(ts, name), rtol=5e-9,
+                                   err_msg=header[j])
 
 
 def test_real_run_round_trip(tmp_path):

@@ -64,22 +64,22 @@ def test_fused_step_matches_public_physics(params, p_prev, v_fe_prev, v_int_prev
 
     e_fe = v_fe / params.t_fe
     p_n = float(fc.p_step(p_prev, fc.transition_rates(e_fe, params), dt))
-    assert 0.0 <= got["p_n"] <= 1.0
-    assert close(got["p_n"], p_n, abs(p_n), P_FLOOR)
+    assert 0.0 <= got["p"] <= 1.0
+    assert close(got["p"], p_n, abs(p_n), P_FLOOR)
 
     # Downstream stages take the step's own p_n and V_int, so that each
     # formula is compared on identical inputs.
-    phi = float(fc.phi_depl(got["p_n"], v_fe, params, e_fe))
-    assert close(got["phi"], phi, abs(phi))
-    v_int, v_app = got["v_int"], got["v_app"]
-    loop_terms = (v_app, v_fe, v_int, got["phi"])
+    phi = float(fc.phi_depl(got["p"], v_fe, params, e_fe))
+    assert close(got["phi_depl"], phi, abs(phi))
+    v_int, v_app = got["v_int"], got["v_appl"]
+    loop_terms = (v_app, v_fe, v_int, got["phi_depl"])
     if int_given:
         assert v_int == v_other
-        assert close(v_app, v_fe + v_int + got["phi"], sum(map(abs, loop_terms)))
+        assert close(v_app, v_fe + v_int + got["phi_depl"], sum(map(abs, loop_terms)))
     else:
         assert v_app == v_other
-        assert close(v_int, v_app - v_fe - got["phi"], sum(map(abs, loop_terms)))
-    assert close(got["r_loop"], v_app - v_fe - v_int - got["phi"],
+        assert close(v_int, v_app - v_fe - got["phi_depl"], sum(map(abs, loop_terms)))
+    assert close(got["loop_residual"], v_app - v_fe - v_int - got["phi_depl"],
                  sum(map(abs, loop_terms)))
 
     jpf = float(fc.j_pf(e_fe, params))
@@ -87,13 +87,13 @@ def test_fused_step_matches_public_physics(params, p_prev, v_fe_prev, v_int_prev
     assert close(got["j_pf"], jpf, abs(jpf))
     assert close(got["j_fn"], jfn, abs(jfn))
     pol_dt = 2.0 * params.P_s / dt
-    j_pol = pol_dt * (got["p_n"] - p_prev)
-    assert close(got["j_pol"], j_pol, pol_dt * (got["p_n"] + p_prev))
+    j_pol = pol_dt * (got["p"] - p_prev)
+    assert close(got["j_pol"], j_pol, pol_dt * (got["p"] + p_prev))
 
     c_fe = float(fc.c_layer(params.eps_fe, params.t_fe))
     c_int = float(fc.c_layer(params.eps_int, params.t_int))
     j_fe = (c_fe * (v_fe - v_fe_prev) / dt, got["j_pol"], got["j_pf"])
     j_int = (c_int * (v_int - v_int_prev) / dt, got["j_fn"])
     i_scale = params.area * sum(map(abs, j_fe + j_int))
-    assert close(got["i_term"], params.area * sum(j_int), i_scale)
-    assert close(got["r_kcl"], params.area * (sum(j_fe) - sum(j_int)), i_scale)
+    assert close(got["i"], params.area * sum(j_int), i_scale)
+    assert close(got["kcl_residual"], params.area * (sum(j_fe) - sum(j_int)), i_scale)

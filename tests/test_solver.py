@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from fecapsim import analyses
 from fecapsim.arraybench import bench_waveform
 from fecapsim.params import ParamsBatch
 from fecapsim.solver import SolveStats, run_transient_batch
-from fecapsim.waveform import CURRENT, from_segments, hold, rect_pulse, triangle
+from fecapsim.waveform import CURRENT, VOLTAGE, from_segments, hold, rect_pulse, triangle
 
 
 @pytest.fixture
@@ -200,7 +202,7 @@ def test_continued_run_history_skips_the_jump(monkeypatch):
 
     def step(*args, **kwargs):
         out = real_step(*args, **kwargs)
-        runs[-1].append(out[4])
+        runs[-1].append(out[3])
         return out
 
     def batch(*args, **kwargs):
@@ -216,13 +218,21 @@ def test_continued_run_history_skips_the_jump(monkeypatch):
         assert max(evals[1:]) <= 6, evals
 
 
-def test_record_decimation(params):
-    cfg = fc.SolverConfig(dt=1e-6, record_every=7)
-    ts = fc.run_transient(params, hold(0.5, 1e-4), cfg)
-    # rows: t=0, every 7th of 100 steps, and the final step
-    assert len(ts) == 1 + len([k for k in range(1, 101) if k % 7 == 0 or k == 100])
+@pytest.mark.parametrize("every", [1, 5, 7, 100, 10**9])
+def test_record_decimation(params, every):
+    cfg = fc.SolverConfig(dt=1e-6, record_every=every)
+    wf = hold(0.5, 1e-4)
+    ts = fc.run_transient(params, wf, cfg)
+    # rows: t=0, every `every`-th of 100 steps, and the final step
+    kept = [0] + [k for k in range(1, 101) if k % every == 0 or k == 100]
+    assert len(ts) == len(kept)
     assert ts.t[0] == 0.0
     assert ts.t[-1] == pytest.approx(1e-4)
+    assert np.array_equal(ts.t, wf.time_grid(cfg.dt)[kept])
+    # the kept rows are those of the undecimated run
+    full = fc.run_transient(params, wf, replace(cfg, record_every=1))
+    for name, col in ts.columns().items():
+        assert np.array_equal(col, getattr(full, name)[kept]), name
 
 
 def test_current_mode_tracks_drive(params):
@@ -243,6 +253,40 @@ def test_charge_integration(params):
     q = ts.charge()
     want = 100e-9 * 1e-5  # flat-top charge; edges contribute half each
     assert q[-1] == pytest.approx(want + 100e-9 * 1e-8, rel=2e-2)
+
+
+def test_batch_charge_matches_devices():
+    # a batch integrates each device's column on its own
+    pb = ParamsBatch.from_list([fc.DeviceParams(area=a) for a in (10e-12, 25e-12, 60e-12)])
+    ts = run_transient_batch(pb, bench_waveform(250e-9, 10e-6, 30e-6, 10e-9),
+                             fc.SolverConfig(dt=2e-7))
+    q = ts.charge()
+    assert q.shape == ts.i.shape
+    for k in range(pb.n):
+        assert np.array_equal(q[:, k], ts.device(k).charge()), k
+
+
+def test_single_column_drive_broadcasts():
+    # a 2-D drive with one column drives every device of a batch alike; it
+    # interpolates as a per-device drive does, so each device reproduces its
+    # lone run under the same drive bit for bit, and the 1-D drive to rounding
+    pb = ParamsBatch.from_params(fc.DeviceParams(), 3)
+    cfg = fc.SolverConfig(dt=3e-8)
+    column = from_segments(VOLTAGE, [(1e-6, np.array([1.0])), (1e-6, np.array([0.0]))])
+    flat = from_segments(VOLTAGE, [(1e-6, 1.0), (1e-6, 0.0)])
+    batch = run_transient_batch(pb, column, cfg)
+    lone = fc.run_transient(fc.DeviceParams(), column, cfg)
+    shared = run_transient_batch(pb, flat, cfg)
+    for name, col in batch.columns().items():
+        if name == "t":
+            assert np.array_equal(col, lone.t)
+            continue
+        for k in range(pb.n):
+            assert np.array_equal(col[:, k], getattr(lone, name)), (name, k)
+    np.testing.assert_allclose(batch.v_appl, shared.v_appl, rtol=0, atol=1e-15)
+    for name in ("p", "v_fe", "v_int"):
+        np.testing.assert_allclose(getattr(batch, name), getattr(shared, name),
+                                   rtol=0, atol=1e-12)
 
 
 def test_polarization_current_consistency(params):
