@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -94,9 +95,12 @@ def run_array_bench(params: DeviceParams, sizes: Sequence[int],
     parameters and included for sampled ones, where drawing is part of the
     array instantiation). A chunk that fails to converge counts the devices
     its StepFailureError names as failures; the other chunks still run.
+    With ``workers > 1`` one process pool serves every size.
     """
     import platform
 
+    if any(n < 1 for n in sizes):
+        raise ValueError("array sizes must be >= 1")
     wf = wf or bench_waveform()
     cfg = cfg or SolverConfig(dt=2e-7, record_every=10**9)
     report = BenchReport(
@@ -104,35 +108,37 @@ def run_array_bench(params: DeviceParams, sizes: Sequence[int],
         machine=(f"{platform.platform()} | python {platform.python_version()}"
                  f" | numpy {np.__version__} | cpus {os.cpu_count()}"),
     )
-    for n in sizes:
-        if n < 1:
-            raise ValueError("array sizes must be >= 1")
-        args = [(params, b - a, wf, cfg, mc, a) for a, b in _chunk_bounds(n, chunk)]
-        t0 = time.perf_counter()
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool_cm = ProcessPoolExecutor(max_workers=workers)
+    else:
+        pool_cm = nullcontext()
+    with pool_cm as pool:
+        for n in sizes:
+            args = [(params, b - a, wf, cfg, mc, a) for a, b in _chunk_bounds(n, chunk)]
+            t0 = time.perf_counter()
+            if pool is not None:
                 futures = [pool.submit(_run_chunk, *a) for a in args]
                 results = [_chunk_outcome(f.result) for f in futures]
-        else:
-            results = [_chunk_outcome(_run_chunk, *a) for a in args]
-        stats = SolveStats()
-        failures = 0
-        for r in results:
-            if isinstance(r, StepFailureError):
-                failures += len(r.device_indices)
             else:
-                stats.merge(r[0])
-        first = results[0]
-        ok = not isinstance(first, StepFailureError)
-        steps_first = first[0].steps if ok else 0
-        pol0 = first[1] if ok else np.nan
-        wall = time.perf_counter() - t0
-        report.sizes.append(int(n))
-        report.wall_s.append(wall)
-        report.steps.append(steps_first)
-        report.newton_iters.append(stats.newton_iters)
-        report.failures.append(failures)
-        report.final_pol_device0.append(pol0)
+                results = [_chunk_outcome(_run_chunk, *a) for a in args]
+            stats = SolveStats()
+            failures = 0
+            for r in results:
+                if isinstance(r, StepFailureError):
+                    failures += len(r.device_indices)
+                else:
+                    stats.merge(r[0])
+            first = results[0]
+            ok = not isinstance(first, StepFailureError)
+            steps_first = first[0].steps if ok else 0
+            pol0 = first[1] if ok else np.nan
+            wall = time.perf_counter() - t0
+            report.sizes.append(int(n))
+            report.wall_s.append(wall)
+            report.steps.append(steps_first)
+            report.newton_iters.append(stats.newton_iters)
+            report.failures.append(failures)
+            report.final_pol_device0.append(pol0)
     return report

@@ -19,6 +19,15 @@ Numerical guards used throughout:
 - the per-direction depletion-capacitance denominator is floored in
   magnitude at ``DENOM_MIN`` to avoid the singularity where the field term
   cancels the fixed charge.
+
+Operand shapes: the solver evaluates these helpers on arrays shaped like
+its trial points, with every :class:`Coeffs` field repeated to that shape,
+and the constants below are 0-d float64 arrays. At the batch widths the
+solver runs (1 to a few hundred devices) a ufunc's fixed dispatch cost
+outweighs its arithmetic, and a call that broadcasts operands of different
+shapes costs about twice one on operands of the same shape; a Python float
+operand also costs more than a 0-d array. The values, and so the results,
+are the same either way.
 """
 
 from __future__ import annotations
@@ -34,6 +43,16 @@ EXP_CLAMP = 700.0
 # Magnitude floor of the depletion-capacitance denominator, C/m^2
 # (about 1% of the calibrated fixed charge).
 DENOM_MIN = 1e-4
+
+_EXP_HI = np.array(EXP_CLAMP)
+_EXP_LO = np.array(-EXP_CLAMP)
+_DENOM_MIN = np.array(DENOM_MIN)
+# Floor of |E| under the Fowler-Nordheim exponent, V/m.
+_FIELD_MIN = np.array(1e-280)
+_ZERO = np.array(0.0)
+_ONE = np.array(1.0)
+_TWO = np.array(2.0)
+_NEG_TWO = np.array(-2.0)
 
 
 class TransitionRates(NamedTuple):
@@ -53,7 +72,7 @@ def _clamp(x, lo, hi):
 
 
 def _guarded_exp(x):
-    return np.exp(_clamp(x, -EXP_CLAMP, EXP_CLAMP))
+    return np.exp(_clamp(x, _EXP_LO, _EXP_HI))
 
 
 def _check_field(e_fe):
@@ -77,11 +96,11 @@ def _rates(x, offset):
 
 
 def _p_eq(x):
-    return 1.0 / (1.0 + _guarded_exp(-2.0 * x))
+    return _ONE / (_ONE + _guarded_exp(_NEG_TWO * x))
 
 
 def _relax(p, p_eq, s, dt):
-    return _clamp(p_eq + (p - p_eq) * np.exp(-s * dt), 0.0, 1.0)
+    return _clamp(p_eq + (p - p_eq) * np.exp(-s * dt), _ZERO, _ONE)
 
 
 def _depl_numerators(params):
@@ -91,12 +110,12 @@ def _depl_numerators(params):
 
 def _depl_branches(field_term, q_fix, k_dn, k_up):
     """(C_down, C_up) from the displacement charge eps0*eps_fe*E_fe, C/m^2."""
-    return (k_dn / np.maximum(np.abs(field_term + q_fix), DENOM_MIN),
-            k_up / np.maximum(np.abs(field_term - q_fix), DENOM_MIN))
+    return (k_dn / np.maximum(np.abs(field_term + q_fix), _DENOM_MIN),
+            k_up / np.maximum(np.abs(field_term - q_fix), _DENOM_MIN))
 
 
 def _blend(p, c_dn, c_up):
-    return p * c_dn + (1.0 - p) * c_up
+    return p * c_dn + (_ONE - p) * c_up
 
 
 def _phi(q_pol, cv_fe, c_depl):
@@ -113,7 +132,7 @@ def _fn_consts(params):
 def _j_fn(e, pre, b):
     # sign(e)*|e|*|e| == e*|e| exactly.
     e_abs = np.abs(e)
-    return pre * e * e_abs * _guarded_exp(-b / np.maximum(e_abs, 1e-280))
+    return pre * e * e_abs * _guarded_exp(-b / np.maximum(e_abs, _FIELD_MIN))
 
 
 def _pf_consts(params):
@@ -175,8 +194,8 @@ def polarization(p, params, out=None):
     Built in place, in *out* when given, so a large p costs no temporaries
     beyond the result.
     """
-    pol = np.multiply(p, 2.0, out=out)
-    pol -= 1.0
+    pol = np.multiply(p, _TWO, out=out)
+    pol -= _ONE
     pol *= params.P_s
     return pol
 
@@ -243,7 +262,9 @@ class Coeffs(NamedTuple):
     :meth:`of` builds them once from a ``DeviceParams`` (scalars) or a
     ``ParamsBatch`` (arrays of shape (n,)); the methods evaluate the same
     formulas as the public functions without re-deriving any constant.
-    Fields named like a ``DeviceParams`` attribute hold that parameter.
+    Fields named like a ``DeviceParams`` attribute hold that parameter. The
+    solver repeats each (n,) field over its trial rows, (rows, n), so that
+    the methods see operands of one shape; the device axis stays last.
     """
 
     area: np.ndarray
@@ -275,8 +296,9 @@ class Coeffs(NamedTuple):
         )
 
     def slice(self, idx) -> "Coeffs":
-        """Constants of the devices selected by an index array."""
-        return self._make(a[idx] for a in self)
+        """Constants of the devices selected by an index array along the
+        last (device) axis."""
+        return self._make(a[..., idx] for a in self)
 
     def p_next(self, p, e_fe, dt):
         """Up-state probability after *dt* from *p* at field *e_fe*.

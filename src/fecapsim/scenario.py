@@ -362,6 +362,9 @@ def parse_scenario(text: str, kind: Optional[str] = None) -> Scenario:
     if "table" in mc_vals and mc_vals["table"] not in ("21C", "85C"):
         raise ScenarioError(f"mc table must be 21C or 85C, got '{mc_vals['table']}'",
                             mc_raw["table"][1])
+    if mc_vals.get("trials", 1) < 1:
+        raise ScenarioError(f"trials: must be >= 1, got {mc_vals['trials']}",
+                            mc_raw["trials"][1])
     if "scenario" in mc_vals and mc_vals["scenario"] not in MC_SUB_KINDS:
         raise ScenarioError(
             f"mc scenario must be one of {MC_SUB_KINDS}, got '{mc_vals['scenario']}'",
@@ -423,6 +426,14 @@ def parse_scenario(text: str, kind: Optional[str] = None) -> Scenario:
             raise ScenarioError("times: must be strictly increasing", drive_raw["times"][1])
     if kind_for_drive == "bench":
         drive["sizes"] = tuple(int(s) for s in drive["sizes"])
+        # The same test as arraybench.bench_waveform: the tail must be > 0.
+        if drive["t_total"] - drive["width"] - 2 * drive["edge"] <= 0.0:
+            # The defaults pass, so one of the three keys was given.
+            key = next(k for k in ("t_total", "width", "edge") if k in drive_raw)
+            raise ScenarioError(
+                f"t_total must exceed width + 2 * edge, got {drive['t_total']:g} s "
+                f"against {drive['width'] + 2 * drive['edge']:g} s",
+                drive_raw[key][1])
 
     # [solver]
     solver = {k: spec[1] for k, spec in SOLVER_KEYS.items()}

@@ -27,6 +27,15 @@ of the batch. A base step's Newton start is predicted per device, as in
 SPICE, from the accepted states since the current breakpoint began; a step
 that does not converge is halved for the failing devices only.
 
+Operand shapes: a step is bound by numpy's fixed cost per call, and a ufunc
+that broadcasts operands of different shapes costs about twice one on
+operands of the same shape (see :mod:`~fecapsim.physics`). So every ufunc of
+the step's hot loop takes same-shape or 0-d operands: a run repeats its
+``Coeffs`` over the two trial rows of :func:`_root` (iterate and probe),
+each step repeats its previous state and its drive value over them, and
+the scalar constants are 0-d arrays. A run interpolates the drive at every
+base step in one vectorized call before stepping.
+
 A converged step yields one row of the record: its fields are named after
 the :class:`TimeSeries` columns, and its first four are the next step's
 state. ``TimeSeries`` is the one column list, for one device or a batch:
@@ -45,10 +54,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .params import DeviceParams, ParamsBatch
+from .physics import _ONE, _TWO, _ZERO, Coeffs, _clamp
 # The step evaluates these formulas through Coeffs; the public functions stay
 # bound here because perfbench/tracing.py wraps the physics calls at these names.
 from .physics import (  # noqa: F401
-    Coeffs,
     c_layer,
     j_fn,
     j_pf,
@@ -59,12 +68,16 @@ from .physics import (  # noqa: F401
 )
 from .waveform import CURRENT, VOLTAGE, Waveform
 
-# Reference area for the default KCL tolerance scaling.
-_TOL_I_REF_AREA = 25e-12  # m^2
+# Default KCL tolerance, A, at the reference area, m^2; it scales with area.
+_TOL_I_REF = np.array(1e-12)
+_TOL_I_REF_AREA = np.array(25e-12)
 # Largest Newton update per iteration, volts.
-_MAX_NEWTON_STEP = 50.0
+_MAX_NEWTON_STEP = np.array(50.0)
+_MIN_NEWTON_STEP = np.array(-50.0)
 # Relative forward-difference offset of the slope probe.
-_FD_RELATIVE = 1e-7
+_FD_RELATIVE = np.array(1e-7)
+_HALF = np.array(0.5)
+_THREE = np.array(3.0)
 # Tolerance (V) and iteration budget of the t = 0 split.
 _SPLIT_TOL_V = 1e-12
 _SPLIT_MAX_ITERS = 100
@@ -127,10 +140,10 @@ class StepFailureError(RuntimeError):
 
     def __init__(self, t: float, dt: float, loop_residual: float, kcl_residual: float,
                  device_indices=()):
-        self.t = t
-        self.dt = dt
-        self.loop_residual = loop_residual
-        self.kcl_residual = kcl_residual
+        self.t = float(t)
+        self.dt = float(dt)
+        self.loop_residual = float(loop_residual)
+        self.kcl_residual = float(kcl_residual)
         self.device_indices = tuple(int(i) for i in device_indices)
         msg = (f"step to t={t:.6e} s failed at dt={dt:.3e} s "
                f"(|loop|={loop_residual:.3e} V, |KCL|={kcl_residual:.3e} A")
@@ -190,6 +203,12 @@ class _StepAux(NamedTuple):
     j_pol: np.ndarray
     loop_residual: np.ndarray
     kcl_residual: np.ndarray
+
+
+def _rows(a):
+    """Per-device array *a*, (n,), repeated over the two trial rows of
+    :func:`_root`: shape (2, n)."""
+    return np.array((a, a))
 
 
 def _scatter(full, idx, sub):
@@ -258,38 +277,40 @@ def _root(fun, x0: np.ndarray, tol_f, tol_x, max_iters: int):
     """Safeguarded Newton on one scalar equation f(x) = 0 per device.
 
     ``fun`` takes trial points of shape (2, n), the iterates and a
-    forward-difference probe above them, and returns (f, aux): f of the same
-    shape and a tuple of arrays shaped like it, or shaped (n,) when constant
-    over the trials. A device converges once |f| <= tol_f and its Newton
-    correction |f/f'| <= tol_x, and is frozen from then on. Each device
-    keeps a sign bracket of the points it has seen; a Newton step that
-    leaves the bracket bisects it instead.
+    forward-difference probe above them, and returns (f, aux): f and each
+    array of the tuple aux shaped like the trials. A device converges once
+    |f| <= tol_f and its Newton correction |f/f'| <= tol_x, and is frozen
+    from then on. Each device keeps a sign bracket of the points it has
+    seen; a Newton step that leaves the bracket bisects it instead. Every
+    array here is (n,) and every constant 0-d, so rules select with
+    ``np.where`` rather than by boolean indexing.
 
     Returns (x, f, converged mask, iterations, aux at x).
     """
     x = np.array(x0, dtype=np.float64)
     x_neg = np.full_like(x, np.nan)
     x_pos = np.full_like(x, np.nan)
+    tol_f, tol_x = np.asarray(tol_f), np.asarray(tol_x)
     iters = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
-            h = _FD_RELATIVE * np.maximum(np.abs(x), 1.0)
+            h = _FD_RELATIVE * np.maximum(np.abs(x), _ONE)
             f2, aux = fun(np.array((x, x + h)))
             f = f2[0]
             dx = f * h / (f - f2[1])
-            dx[~np.isfinite(dx)] = 0.0
+            dx = np.where(np.isfinite(dx), dx, _ZERO)
             conv = (np.abs(f) <= tol_f) & (np.abs(dx) <= tol_x)
             if iters == max_iters or conv.all():
-                return x, f, conv, iters, tuple(a[0] if a.ndim == 2 else a for a in aux)
+                return x, f, conv, iters, tuple(a[0] for a in aux)
             iters += 1
-            np.copyto(x_neg, x, where=f < 0.0)
-            np.copyto(x_pos, x, where=f > 0.0)
-            x_new = x + np.clip(dx, -_MAX_NEWTON_STEP, _MAX_NEWTON_STEP)
+            x_neg = np.where(f < _ZERO, x, x_neg)
+            x_pos = np.where(f > _ZERO, x, x_pos)
+            x_new = x + _clamp(dx, _MIN_NEWTON_STEP, _MAX_NEWTON_STEP)
             # Strictly inside the bracket the product is negative; it is NaN,
             # so no bisection, until both sides of the root are known.
-            bisect = (x_new - x_neg) * (x_new - x_pos) >= 0.0
-            x_new[bisect] = 0.5 * (x_neg[bisect] + x_pos[bisect])
-            np.copyto(x, x_new, where=~conv)
+            bisect = (x_new - x_neg) * (x_new - x_pos) >= _ZERO
+            x_new = np.where(bisect, _HALF * (x_neg + x_pos), x_new)
+            x = np.where(conv, x, x_new)
 
 
 def _make_step(k: Coeffs, prev: _State, dt: float):
@@ -299,13 +320,14 @@ def _make_step(k: Coeffs, prev: _State, dt: float):
     and V_appl (V_int follows from the loop), or all three (the loop
     residual is whatever the trial leaves). ``interface`` gives (j_fn,
     interface branch current density) at a trial V_int; ``at`` takes that
-    pair as *iface* when V_int is fixed. Trial arrays may carry a leading
-    axis in front of the device axis.
+    pair as *iface* when V_int is fixed. Any array may carry a leading
+    trial axis in front of the device axis; the solver gives the trials,
+    *prev* and the fields of *k* one shape, (2, n).
     """
-    inv_dt = 1.0 / dt
+    inv_dt = _ONE / dt
     c_fe_dt = k.c_fe * inv_dt
     c_int_dt = k.c_int * inv_dt
-    pol_dt = 2.0 * k.P_s * inv_dt
+    pol_dt = _TWO * k.P_s * inv_dt
 
     def interface(v_int):
         jfn = k.j_fn(v_int * k.inv_t_int)
@@ -339,12 +361,13 @@ def _solve_step(k: Coeffs, st: _State, dt: float, drive_end: np.ndarray,
     Under current drive V_int is solved first, from the interface branch
     alone carrying the drive current; V_fe then balances the internal-node
     KCL in both modes. The root-finds start from *guess*, a (V_fe, V_int)
-    pair, or from the previous state when it is None.
+    pair, or from the previous state when it is None. *k* and *drive_end*
+    are repeated over the trial rows, shape (2, n); *st* is per device.
     """
     tol_i = (cfg.newton_tol_i if cfg.newton_tol_i is not None
-             else 1e-12 * k.area / _TOL_I_REF_AREA)
+             else _TOL_I_REF * k.area[0] / _TOL_I_REF_AREA)
     v_fe0, v_int0 = (st.v_fe, st.v_int) if guess is None else guess
-    at, interface = _make_step(k, st, dt)
+    at, interface = _make_step(k, st._make(map(_rows, st)), dt)
     v_int, v_app, iface = None, drive_end, None
     conv, iters = True, 0
     if mode == CURRENT:
@@ -354,7 +377,7 @@ def _solve_step(k: Coeffs, st: _State, dt: float, drive_end: np.ndarray,
 
         v_int, _, conv, iters, iface = _root(terminal, v_int0, tol_i,
                                              cfg.newton_tol_v, cfg.max_newton_iters)
-        v_app = None
+        v_int, iface, v_app = _rows(v_int), tuple(map(_rows, iface)), None
 
     def kcl(v_fe):
         aux = at(v_fe, v_int, v_app, iface)
@@ -388,16 +411,17 @@ def _initial_state(k: Coeffs, v_app0: np.ndarray, p_init, t0: float) -> _State:
     return _State(p0, v_fe0, np.zeros(n), v_app0.astype(np.float64).copy())
 
 
-def _advance(k: Coeffs, st: _State, t0: float, dt: float, drive_at,
+def _advance(k: Coeffs, st: _State, t0: float, dt, drive_end: np.ndarray, drive_at,
              mode: str, cfg: SolverConfig, depth: int, stats: SolveStats,
              cols: np.ndarray, guess=None):
     """Advance every device by exactly *dt*, halving locally on failure.
 
-    Returns the converged step's :class:`_StepAux`. *guess* is the
-    predicted start of the step's root-finds (see :func:`_predict`); the
-    halves of a failed step start from their previous state.
+    Returns the converged step's :class:`_StepAux`. *k* and *drive_end*,
+    the drive at t0 + dt, are repeated over the trial rows, shape (2, n).
+    *guess* is the predicted start of the step's root-finds (see
+    :func:`_predict`); the halves of a failed step start from their
+    previous state and take their drive from ``drive_at(t, cols)``.
     """
-    drive_end = drive_at(t0 + dt, cols)
     aux, conv, iters, evals = _solve_step(k, st, dt, drive_end, mode, cfg, guess)
     stats.steps += 1
     stats.newton_iters += iters
@@ -409,7 +433,7 @@ def _advance(k: Coeffs, st: _State, t0: float, dt: float, drive_at,
     if depth <= 0:
         kcl = np.abs(aux.kcl_residual[bad])
         if mode == CURRENT:
-            kcl = np.maximum(kcl, np.abs(aux.i[bad] - drive_end[bad]))
+            kcl = np.maximum(kcl, np.abs(aux.i[bad] - drive_end[0, bad]))
         raise StepFailureError(
             t=t0 + dt, dt=dt,
             loop_residual=float(np.max(np.abs(aux.loop_residual[bad]))),
@@ -422,10 +446,12 @@ def _advance(k: Coeffs, st: _State, t0: float, dt: float, drive_at,
     sub_st = _State(*(a[bad] for a in st))
     sub_cols = cols[bad]
     half = 0.5 * dt
-    aux_a = _advance(sub_k, sub_st, t0, half, drive_at, mode, cfg,
+    t_mid = t0 + half
+    aux_a = _advance(sub_k, sub_st, t0, half, _rows(drive_at(t_mid, sub_cols)),
+                     drive_at, mode, cfg, depth - 1, stats, sub_cols)
+    aux_b = _advance(sub_k, _State(*aux_a[:4]), t_mid, half,
+                     _rows(drive_at(t_mid + half, sub_cols)), drive_at, mode, cfg,
                      depth - 1, stats, sub_cols)
-    aux_b = _advance(sub_k, _State(*aux_a[:4]), t0 + half, half, drive_at, mode,
-                     cfg, depth - 1, stats, sub_cols)
     return _scatter(aux, bad, aux_b)
 
 
@@ -443,7 +469,7 @@ def _predict(hist):
         b, a = hist
         return a.v_fe + (a.v_fe - b.v_fe), a.v_int + (a.v_int - b.v_int)
     c, b, a = hist
-    return 3.0 * (a.v_fe - b.v_fe) + c.v_fe, 3.0 * (a.v_int - b.v_int) + c.v_int
+    return _THREE * (a.v_fe - b.v_fe) + c.v_fe, _THREE * (a.v_int - b.v_int) + c.v_int
 
 
 def run_transient_batch(pb: ParamsBatch, wf: Waveform,
@@ -461,6 +487,10 @@ def run_transient_batch(pb: ParamsBatch, wf: Waveform,
     per-device prediction extrapolated from the accepted states of the
     current breakpoint interval; the prediction restarts at every
     breakpoint, where the drive's slope may change.
+
+    The drive at the end of every base step is interpolated in one call
+    before stepping: (steps,) or (steps, 1) values for a shared drive,
+    (steps, n) for a per-device one.
 
     Rows are recorded on the base grid: the first instant, every
     ``record_every``-th step and the last instant. A step's row is its
@@ -515,14 +545,18 @@ def run_transient_batch(pb: ParamsBatch, wf: Waveform,
         j_fn=j_fn, j_pol=zero, loop_residual=st.v_appl - st.v_fe - st.v_int - phi,
         kcl_residual=zero))
 
+    k_trials = k._make(map(_rows, k))
+    dts = np.diff(grid)
+    drive = wf.value_at(grid[:-1] + dts)
     # Breakpoint interval of each base step.
     seg = np.searchsorted(wf.times, 0.5 * (grid[:-1] + grid[1:])).tolist()
     for i in range(1, n_steps + 1):
-        t0, t1 = grid[i - 1], grid[i]
         if i == 1 or seg[i - 1] != seg[i - 2]:
             hist = []
         hist = hist[-2:] + [st]
-        aux = _advance(k, st, t0, t1 - t0, drive_at, wf.mode, cfg,
+        # dts[i - 1, ...] is a 0-d view: the step's dt as an array operand.
+        aux = _advance(k_trials, st, grid[i - 1], dts[i - 1, ...],
+                       np.full((2, n), drive[i - 1]), drive_at, wf.mode, cfg,
                        cfg.max_step_halvings, stats, cols_all, _predict(hist))
         st = _State(*aux[:4])
         if i == 1 and init is not None:
@@ -530,7 +564,7 @@ def run_transient_batch(pb: ParamsBatch, wf: Waveform,
             # a continued run's history starts after its first step.
             hist = []
         if i % every == 0 or i == n_steps:
-            record(-(-i // every), t1, aux)
+            record(-(-i // every), grid[i], aux)
 
     polarization(out["p"], pb, out=out["pol"])
     return TimeSeries(stats=stats, **out)
@@ -569,8 +603,8 @@ def solve_timestep(state: DeviceState, dt: float, drive_value: float,
     def drive_at(t, cols):
         return np.full(len(cols), drive_value)
 
-    new = _advance(k, st, state.t, dt, drive_at, mode, cfg,
-                   cfg.max_step_halvings, stats, np.arange(1))
+    new = _advance(k._make(map(_rows, k)), st, state.t, dt, np.full((2, 1), drive_value),
+                   drive_at, mode, cfg, cfg.max_step_halvings, stats, np.arange(1))
     return DeviceState(p=float(new.p[0]), v_fe=float(new.v_fe[0]),
                        v_int=float(new.v_int[0]), t=state.t + dt)
 

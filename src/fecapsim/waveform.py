@@ -58,8 +58,8 @@ class Waveform:
     def value_at(self, t, cols=None):
         """Drive value at time *t* (scalar or array), end values held.
 
-        For 2-D values, returns shape (n_devices,) for scalar *t*; *cols*
-        selects a device subset.
+        For 2-D values, returns shape (n_devices,) for scalar *t* and
+        (len(t), n_devices) for a 1-D *t*; *cols* selects a device subset.
         """
         if self.values.ndim == 1:
             out = np.interp(t, self.times, self.values)
@@ -69,7 +69,7 @@ class Waveform:
         idx = np.clip(idx, 1, self.times.size - 1)
         t0 = self.times[idx - 1]
         t1 = self.times[idx]
-        w = np.clip((t - t0) / (t1 - t0), 0.0, 1.0)
+        w = np.expand_dims(np.clip((t - t0) / (t1 - t0), 0.0, 1.0), -1)
         return vals[idx - 1] + w * (vals[idx] - vals[idx - 1])
 
     def time_grid(self, dt: float) -> np.ndarray:

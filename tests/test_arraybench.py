@@ -71,3 +71,22 @@ def test_failures_counted_in_every_chunk(p25):
         rep = run_array_bench(p25, [600], cfg=cfg, workers=workers)
         assert rep.failures == [600], workers
         assert np.isnan(rep.final_pol_device0[0])
+
+
+def test_one_pool_serves_every_size(p25, monkeypatch):
+    import concurrent.futures
+
+    built = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    mc = (McDistribution.table_21c(), 5)
+    pooled = run_array_bench(p25, [3, 5], chunk=2, workers=2, mc=mc)
+    assert len(built) == 1
+    serial = run_array_bench(p25, [3, 5], chunk=2, workers=1, mc=mc)
+    for name in ("sizes", "steps", "newton_iters", "failures", "final_pol_device0"):
+        assert getattr(pooled, name) == getattr(serial, name), name

@@ -108,11 +108,21 @@ def test_bench_zero_size_exit_1(tmp_path):
     ("transient", "times = 0, 1e-6, 0.5e-6 s\nvalues = 0, 1, 0 V"),
     ("transient", "values = 0, nan"),
     ("kinetics", "widths = us"),
+    ("bench", "t_total = 5 us\nwidth = 10 us"),
 ])
 def test_bad_drive_value_exit_1(tmp_path, kind, drive):
     scen = tmp_path / "scen.cfg"
     scen.write_text(f"[drive]\n{drive}\n")
     cp = run_cli(kind, "--scenario", str(scen), "--out", str(tmp_path))
+    assert cp.returncode == 1
+    assert cp.stderr.startswith("error: line 2: ")
+    assert "Traceback" not in cp.stderr
+
+
+def test_bad_mc_trials_exit_1(tmp_path):
+    scen = tmp_path / "scen.cfg"
+    scen.write_text("[mc]\ntrials = 0\n")
+    cp = run_cli("mc", "--scenario", str(scen), "--out", str(tmp_path))
     assert cp.returncode == 1
     assert cp.stderr.startswith("error: line 2: ")
     assert "Traceback" not in cp.stderr

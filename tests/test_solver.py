@@ -136,20 +136,52 @@ def test_determinism_bit_identical(params):
 
 def test_batch_matches_single_bitwise():
     # every device of a heterogeneous batch reproduces its lone run bit for
-    # bit, under voltage and under current drive
+    # bit, under voltage and under current drive; the last two drives halve
+    # different devices at different steps in the batch and alone
     rng = np.random.default_rng(21)
     base = fc.DeviceParams(area=25e-12)
     devices = [fc.sample_params(base, fc.McDistribution.table_21c(), rng)
                for _ in range(6)]
-    drives = [(triangle(3.0, 1e3, 2), fc.SolverConfig(dt=2e-6)),
-              (bench_waveform(250e-9, 10e-6, 30e-6, 10e-9), fc.SolverConfig(dt=2e-7))]
-    for wf, cfg in drives:
+    pulse = bench_waveform(250e-9, 10e-6, 30e-6, 10e-9)
+    drives = [(triangle(3.0, 1e3, 2), fc.SolverConfig(dt=2e-6), False),
+              (pulse, fc.SolverConfig(dt=2e-7), False),
+              (triangle(3.0, 1e3, 2), fc.SolverConfig(dt=5e-5, max_newton_iters=6), True),
+              (pulse, fc.SolverConfig(dt=2e-6, max_newton_iters=3), True)]
+    for wf, cfg, halves in drives:
         batch = run_transient_batch(ParamsBatch.from_list(devices), wf, cfg)
+        assert batch.stats.halvings > 0 or not halves, cfg
         for k, dev in enumerate(devices):
             single = fc.run_transient(dev, wf, cfg)
             for name in ("p", "pol", "v_fe", "v_int", "v_appl", "i"):
                 assert np.array_equal(getattr(batch, name)[:, k],
                                       getattr(single, name)), (wf.mode, k, name)
+
+
+def test_drive_table_matches_value_at_bitwise(params):
+    # a run interpolates its drive for every step in one call; under voltage
+    # drive the recorded V_appl is that drive, and each step's value must be
+    # Waveform.value_at at the step's end, t0 + dt, bit for bit
+    amps = np.array([1.0, 0.5, -0.7])
+    drives = {
+        "1-D": from_segments(VOLTAGE, [(1e-6, 1.0), (1e-6, 0.0)]),
+        "one column": from_segments(VOLTAGE, [(1e-6, [1.0]), (1e-6, [0.0])]),
+        "per device": from_segments(VOLTAGE, [(1e-6, amps), (1e-6, 0.0 * amps)]),
+    }
+    cfg = fc.SolverConfig(dt=1e-7)
+    cols = np.arange(amps.size)
+    got = {}
+    for name, wf in drives.items():
+        ts = run_transient_batch(ParamsBatch.from_params(params, amps.size), wf, cfg)
+        grid = wf.time_grid(cfg.dt)
+        want = [np.broadcast_to(wf.value_at(t0 + (t1 - t0), cols if name == "per device"
+                                            else None), cols.shape)
+                for t0, t1 in zip(grid[:-1], grid[1:])]
+        assert ts.stats.halvings == 0
+        assert ts.v_appl[1:].tobytes() == np.array(want).tobytes(), name
+        got[name] = ts.v_appl
+    # np.interp (1-D values) and y0 + w*(y1 - y0) (2-D values) differ in the
+    # last bit at some steps, so each drive must keep its own formula
+    assert not np.array_equal(got["1-D"], got["one column"])
 
 
 def test_step_failure_carries_time_and_residuals(params):
