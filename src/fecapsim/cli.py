@@ -180,10 +180,7 @@ def _run_mc(scen: Scenario, out: Path, workers: int) -> None:
 def _run_bench(scen: Scenario, out: Path, workers: int) -> None:
     d = scen.drive
     wf = bench_waveform(d["current"], d["width"], d["t_total"], d["edge"])
-    solver = dict(scen.solver)
-    solver["dt"] = solver.get("dt") or 2e-7
-    solver["record_every"] = 10 ** 9
-    cfg = SolverConfig(**solver)
+    cfg = replace(scen.solver_config(), record_every=10**9)
     report = run_array_bench(scen.device, d["sizes"], wf, cfg,
                              chunk=d["chunk"], workers=workers)
     _emit(out / "bench.csv", csvio.bench_csv, report)
@@ -240,6 +237,8 @@ def main(argv=None) -> int:
     try:
         if args.workers < 1:
             raise _UsageError("--workers must be >= 1")
+        if args.seed is not None and args.seed < 0:
+            raise _UsageError("--seed must be >= 0")
         scen = _load_scenario(args, args.command)
         out = _out_dir(args, scen)
         _write_manifest(out, scen, argv)

@@ -23,9 +23,8 @@ from .solver import TimeSeries
 _TS_CSV = [(f.name, *f.metadata["csv"]) for f in fields(TimeSeries) if "csv" in f.metadata]
 TIMESERIES_HEADER = tuple(header for _, header, _ in _TS_CSV)
 
-# C/m^2 -> uC/cm^2 and A/m^2 -> A/cm^2
+# C/m^2 -> uC/cm^2
 _P_OUT = 1e2
-_J_OUT = 1e-4
 
 
 def _fmt(x) -> str:

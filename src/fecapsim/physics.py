@@ -5,11 +5,12 @@ to a physical quantity, SI units in and out. All functions broadcast over
 numpy arrays, so a ``ParamsBatch`` and per-device state arrays evaluate the
 whole batch in one call; scalars work the same way.
 
-Each formula is written once, as a private helper over the parameter-only
-constants it needs. The public functions derive those constants from the
-parameters on every call; :class:`Coeffs` derives all of them once for a
-device or a batch, and its methods are what the solver's implicit step and
-the quasi-static solves evaluate.
+Each formula, and each constant that depends on the parameters only, is
+written once, on :class:`Coeffs`: :meth:`Coeffs.of` derives the constants of
+a device or a batch, and the methods evaluate the formulas over them. The
+solver's implicit step and the quasi-static solves build ``Coeffs`` once per
+run; the public functions cast and validate their arguments, build it on
+every call and return the method's result, so they evaluate the same code.
 
 Numerical guards used throughout:
 - exponentials are evaluated as ``exp(clip(arg, -700, 700))`` so extreme
@@ -20,14 +21,14 @@ Numerical guards used throughout:
   magnitude at ``DENOM_MIN`` to avoid the singularity where the field term
   cancels the fixed charge.
 
-Operand shapes: the solver evaluates these helpers on arrays shaped like
-its trial points, with every :class:`Coeffs` field repeated to that shape,
-and the constants below are 0-d float64 arrays. At the batch widths the
-solver runs (1 to a few hundred devices) a ufunc's fixed dispatch cost
-outweighs its arithmetic, and a call that broadcasts operands of different
-shapes costs about twice one on operands of the same shape; a Python float
-operand also costs more than a 0-d array. The values, and so the results,
-are the same either way.
+Operand shapes: the solver evaluates the :class:`Coeffs` methods on arrays
+shaped like its trial points, with every field repeated to that shape, and
+the constants below are 0-d float64 arrays. At the batch widths the solver
+runs (1 to a few hundred devices) a ufunc's fixed dispatch cost outweighs
+its arithmetic, and a call that broadcasts operands of different shapes
+costs about twice one on operands of the same shape; a Python float operand
+also costs more than a 0-d array. The values, and so the results, are the
+same either way.
 """
 
 from __future__ import annotations
@@ -80,75 +81,8 @@ def _check_field(e_fe):
         raise ValueError("transition_rates: non-finite field")
 
 
-def _rate_consts(params):
-    """Rate offset log(k_B T/h) - W_b/(k_B T) and slope q*d_e/(k_B T), m/V.
-
-    The slope times (E_fe - E_off) is the field-induced barrier modulation
-    W_e = q*(E_fe - E_off)*d_e in units of k_B T.
-    """
-    kt = K_B * params.temperature
-    return np.log(kt / H_PLANCK) - params.W_b / kt, Q_E * params.d_e / kt
-
-
-def _rates(x, offset):
-    """(k_down, k_up) at reduced field energy x = W_e/(k_B T)."""
-    return _guarded_exp(offset + x), _guarded_exp(offset - x)
-
-
-def _p_eq(x):
-    return _ONE / (_ONE + _guarded_exp(_NEG_TWO * x))
-
-
 def _relax(p, p_eq, s, dt):
     return _clamp(p_eq + (p - p_eq) * np.exp(-s * dt), _ZERO, _ONE)
-
-
-def _depl_numerators(params):
-    return (EPS_0 * params.eps_depl * Q_E * params.N_depl_dn,
-            EPS_0 * params.eps_depl * Q_E * params.N_depl_up)
-
-
-def _depl_branches(field_term, q_fix, k_dn, k_up):
-    """(C_down, C_up) from the displacement charge eps0*eps_fe*E_fe, C/m^2."""
-    return (k_dn / np.maximum(np.abs(field_term + q_fix), _DENOM_MIN),
-            k_up / np.maximum(np.abs(field_term - q_fix), _DENOM_MIN))
-
-
-def _blend(p, c_dn, c_up):
-    return p * c_dn + (_ONE - p) * c_up
-
-
-def _phi(q_pol, cv_fe, c_depl):
-    return (q_pol + cv_fe) / c_depl
-
-
-def _fn_consts(params):
-    """Fowler-Nordheim prefactor, A/V^2, and exponent constant, V/m."""
-    return (Q_E * Q_E / (8.0 * np.pi * H_PLANCK * params.phi_b_int),
-            8.0 * np.pi * np.sqrt(2.0 * M_0 * params.m_eff_int)
-            * (Q_E * params.phi_b_int) ** 1.5 / (3.0 * H_PLANCK * Q_E))
-
-
-def _j_fn(e, pre, b):
-    # sign(e)*|e|*|e| == e*|e| exactly.
-    e_abs = np.abs(e)
-    return pre * e * e_abs * _guarded_exp(-b / np.maximum(e_abs, _FIELD_MIN))
-
-
-def _pf_consts(params):
-    """Poole-Frenkel prefactor, barrier and barrier-lowering slope.
-
-    q*mu*N_fe in A/V, q*phi_tr/(k_B T), and q/(k_B T)*sqrt(q/(pi*eps0*eps_fe))
-    per sqrt(V/m).
-    """
-    kt = K_B * params.temperature
-    return (Q_E * params.mu_fe * params.N_fe, Q_E * params.phi_tr_fe / kt,
-            Q_E / kt * np.sqrt(Q_E / (np.pi * EPS_0 * params.eps_fe)))
-
-
-def _j_pf(e, pre, barrier, lowering):
-    # sign(e)*|e| == e exactly.
-    return pre * e * _guarded_exp(lowering * np.sqrt(np.abs(e)) - barrier)
 
 
 def transition_rates(e_fe, params) -> TransitionRates:
@@ -157,10 +91,7 @@ def transition_rates(e_fe, params) -> TransitionRates:
     k_down/up = (k_B T / h) * exp((-W_b +/- W_e) / (k_B T)), with the
     prefactor folded into the clamped exponent so both rates stay finite.
     """
-    e_fe = np.asarray(e_fe, dtype=np.float64)
-    _check_field(e_fe)
-    offset, slope = _rate_consts(params)
-    return TransitionRates(*_rates(slope * (e_fe - params.E_off), offset))
+    return Coeffs.of(params).rates(np.asarray(e_fe, dtype=np.float64))
 
 
 def p_steady_state(e_fe, params):
@@ -169,7 +100,7 @@ def p_steady_state(e_fe, params):
     Fixed point of the rate equation: k_down/(k_down+k_up), evaluated in
     log-space as a logistic of 2*W_e/(k_B T) so it never overflows.
     """
-    return _p_eq(_rate_consts(params)[1] * (np.asarray(e_fe) - params.E_off))
+    return Coeffs.of(params).p_steady(np.asarray(e_fe))
 
 
 def p_step(p, rates: TransitionRates, dt):
@@ -216,8 +147,8 @@ def c_depl_branches(e_fe, params):
     absolute: eps0*eps_depl*q*N / |eps0*eps_fe*E_fe +/- Q_fix|, "+" on the
     down branch. The denominator magnitude is floored at DENOM_MIN.
     """
-    field_term = EPS_0 * params.eps_fe * np.asarray(e_fe, dtype=np.float64)
-    return _depl_branches(field_term, params.Q_fix_depl, *_depl_numerators(params))
+    return Coeffs.of(params).depl_branches(
+        EPS_0 * params.eps_fe * np.asarray(e_fe, dtype=np.float64))
 
 
 def c_depl(p, e_fe, params):
@@ -225,7 +156,8 @@ def c_depl(p, e_fe, params):
 
     C = p * C_down + (1-p) * C_up.
     """
-    return _blend(np.asarray(p), *c_depl_branches(e_fe, params))
+    return Coeffs.of(params).c_depl(
+        np.asarray(p), EPS_0 * params.eps_fe * np.asarray(e_fe, dtype=np.float64))
 
 
 def phi_depl(p, v_fe, params, e_fe_for_cdepl):
@@ -234,8 +166,9 @@ def phi_depl(p, v_fe, params, e_fe_for_cdepl):
     (2*P_s*p - P_s + C_fe*V_fe) / C_depl with all quantities per unit area;
     C_depl is evaluated at (p, *e_fe_for_cdepl*).
     """
-    cv_fe = c_layer(params.eps_fe, params.t_fe) * np.asarray(v_fe)
-    return _phi(polarization(p, params), cv_fe, c_depl(p, e_fe_for_cdepl, params))
+    k = Coeffs.of(params)
+    return k.phi(np.asarray(p), k.c_fe * np.asarray(v_fe),
+                 EPS_0 * params.eps_fe * np.asarray(e_fe_for_cdepl, dtype=np.float64))
 
 
 def j_fn(e_int, params):
@@ -244,7 +177,7 @@ def j_fn(e_int, params):
     Evaluated on the field magnitude and returned with the sign of *e_int*;
     exactly zero at zero field.
     """
-    return _j_fn(np.asarray(e_int, dtype=np.float64), *_fn_consts(params))
+    return Coeffs.of(params).j_fn(np.asarray(e_int, dtype=np.float64))
 
 
 def j_pf(e_leak, params):
@@ -253,18 +186,18 @@ def j_pf(e_leak, params):
     q*mu*N_fe*E * exp(-q*(phi_tr - sqrt(q*E/(pi*eps0*eps_fe))) / (k_B T)),
     evaluated on |E| and signed by *e_leak*; exactly zero at zero field.
     """
-    return _j_pf(np.asarray(e_leak, dtype=np.float64), *_pf_consts(params))
+    return Coeffs.of(params).j_pf(np.asarray(e_leak, dtype=np.float64))
 
 
 class Coeffs(NamedTuple):
-    """Parameter-only constants of one device or of a batch.
+    """Parameter-only constants of one device or of a batch, and the model's
+    formulas over them.
 
     :meth:`of` builds them once from a ``DeviceParams`` (scalars) or a
-    ``ParamsBatch`` (arrays of shape (n,)); the methods evaluate the same
-    formulas as the public functions without re-deriving any constant.
-    Fields named like a ``DeviceParams`` attribute hold that parameter. The
-    solver repeats each (n,) field over its trial rows, (rows, n), so that
-    the methods see operands of one shape; the device axis stays last.
+    ``ParamsBatch`` (arrays of shape (n,)). Fields named like a
+    ``DeviceParams`` attribute hold that parameter. The solver repeats each
+    (n,) field over its trial rows, (rows, n), so that the methods see
+    operands of one shape; the device axis stays last.
     """
 
     area: np.ndarray
@@ -275,24 +208,31 @@ class Coeffs(NamedTuple):
     c_int: np.ndarray       # interface layer capacitance, F/m^2
     inv_t_fe: np.ndarray    # 1/t_fe, 1/m
     inv_t_int: np.ndarray   # 1/t_int, 1/m
-    rate_offset: np.ndarray
-    rate_slope: np.ndarray
-    pf_pre: np.ndarray
-    pf_barrier: np.ndarray
-    pf_lowering: np.ndarray
-    fn_pre: np.ndarray
-    fn_b: np.ndarray
+    rate_offset: np.ndarray  # log(k_B T/h) - W_b/(k_B T)
+    rate_slope: np.ndarray   # q*d_e/(k_B T), m/V
+    pf_pre: np.ndarray       # q*mu*N_fe, A/V
+    pf_barrier: np.ndarray   # q*phi_tr/(k_B T)
+    pf_lowering: np.ndarray  # q/(k_B T)*sqrt(q/(pi*eps0*eps_fe)), per sqrt(V/m)
+    fn_pre: np.ndarray       # Fowler-Nordheim prefactor, A/V^2
+    fn_b: np.ndarray         # Fowler-Nordheim exponent constant, V/m
     depl_dn: np.ndarray     # depletion numerators eps0*eps_depl*q*N, per branch
     depl_up: np.ndarray
 
     @classmethod
     def of(cls, params) -> "Coeffs":
+        kt = K_B * params.temperature
         return cls(
             params.area, params.P_s, params.E_off, params.Q_fix_depl,
             c_layer(params.eps_fe, params.t_fe), c_layer(params.eps_int, params.t_int),
             1.0 / params.t_fe, 1.0 / params.t_int,
-            *_rate_consts(params), *_pf_consts(params), *_fn_consts(params),
-            *_depl_numerators(params),
+            np.log(kt / H_PLANCK) - params.W_b / kt, Q_E * params.d_e / kt,
+            Q_E * params.mu_fe * params.N_fe, Q_E * params.phi_tr_fe / kt,
+            Q_E / kt * np.sqrt(Q_E / (np.pi * EPS_0 * params.eps_fe)),
+            Q_E * Q_E / (8.0 * np.pi * H_PLANCK * params.phi_b_int),
+            8.0 * np.pi * np.sqrt(2.0 * M_0 * params.m_eff_int)
+            * (Q_E * params.phi_b_int) ** 1.5 / (3.0 * H_PLANCK * Q_E),
+            EPS_0 * params.eps_depl * Q_E * params.N_depl_dn,
+            EPS_0 * params.eps_depl * Q_E * params.N_depl_up,
         )
 
     def slice(self, idx) -> "Coeffs":
@@ -300,34 +240,62 @@ class Coeffs(NamedTuple):
         last (device) axis."""
         return self._make(a[..., idx] for a in self)
 
+    def rates(self, e_fe) -> TransitionRates:
+        """``transition_rates`` at field *e_fe*.
+
+        The slope times (E_fe - E_off) is the field-induced barrier
+        modulation W_e = q*(E_fe - E_off)*d_e in units of k_B T.
+        """
+        _check_field(e_fe)
+        x = self.rate_slope * (e_fe - self.E_off)
+        return TransitionRates(_guarded_exp(self.rate_offset + x),
+                               _guarded_exp(self.rate_offset - x))
+
     def p_next(self, p, e_fe, dt):
         """Up-state probability after *dt* from *p* at field *e_fe*.
 
         ``p_step`` over ``transition_rates``: both clamped rates are
         positive, so their sum is too.
         """
-        _check_field(e_fe)
-        k_down, k_up = _rates(self.rate_slope * (e_fe - self.E_off), self.rate_offset)
+        k_down, k_up = self.rates(e_fe)
         s = k_down + k_up
         return _relax(p, k_down / s, s, dt)
 
     def p_steady(self, e_fe):
         """``p_steady_state`` at field *e_fe*."""
-        return _p_eq(self.rate_slope * (e_fe - self.E_off))
+        x = self.rate_slope * (e_fe - self.E_off)
+        return _ONE / (_ONE + _guarded_exp(_NEG_TWO * x))
 
-    def phi(self, p, cv_fe):
+    def depl_branches(self, q_disp):
+        """``c_depl_branches`` at displacement charge *q_disp* = eps0*eps_fe*E_fe,
+        C/m^2."""
+        return (self.depl_dn / np.maximum(np.abs(q_disp + self.Q_fix_depl), _DENOM_MIN),
+                self.depl_up / np.maximum(np.abs(q_disp - self.Q_fix_depl), _DENOM_MIN))
+
+    def c_depl(self, p, q_disp):
+        """``c_depl`` at state *p* and displacement charge *q_disp*."""
+        c_dn, c_up = self.depl_branches(q_disp)
+        return p * c_dn + (_ONE - p) * c_up
+
+    def phi(self, p, cv_fe, q_disp=None):
         """``phi_depl`` at state *p* and ferroelectric charge *cv_fe* = C_fe*V_fe.
 
-        C_depl is taken at the ferroelectric's own field, whose displacement
-        charge eps0*eps_fe*E_fe is C_fe*V_fe.
+        C_depl is taken at displacement charge *q_disp*; by default at the
+        ferroelectric's own field, whose displacement charge eps0*eps_fe*E_fe
+        is C_fe*V_fe.
         """
-        c = _blend(p, *_depl_branches(cv_fe, self.Q_fix_depl, self.depl_dn, self.depl_up))
-        return _phi(polarization(p, self), cv_fe, c)
+        c = self.c_depl(p, cv_fe if q_disp is None else q_disp)
+        return (polarization(p, self) + cv_fe) / c
 
     def j_pf(self, e_fe):
         """``j_pf`` at field *e_fe*."""
-        return _j_pf(e_fe, self.pf_pre, self.pf_barrier, self.pf_lowering)
+        # sign(e)*|e| == e exactly.
+        return self.pf_pre * e_fe * _guarded_exp(
+            self.pf_lowering * np.sqrt(np.abs(e_fe)) - self.pf_barrier)
 
     def j_fn(self, e_int):
         """``j_fn`` at field *e_int*."""
-        return _j_fn(e_int, self.fn_pre, self.fn_b)
+        # sign(e)*|e|*|e| == e*|e| exactly.
+        e_abs = np.abs(e_int)
+        return self.fn_pre * e_int * e_abs * _guarded_exp(
+            -self.fn_b / np.maximum(e_abs, _FIELD_MIN))

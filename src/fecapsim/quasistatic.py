@@ -18,7 +18,7 @@ from .params import DeviceParams
 # The solves below evaluate these formulas through Coeffs; the public functions
 # stay bound here because perfbench/tracing.py wraps the physics calls at these names.
 from .physics import Coeffs, c_layer, j_fn, j_pf, p_steady_state, phi_depl  # noqa: F401
-from .solver import SolverConfig, _root, run_transient
+from .solver import _TOL_I_REF, _TOL_I_REF_AREA, SolverConfig, _root, run_transient
 from .waveform import Waveform
 
 # Tolerance (V) on the Newton correction of the DC and C-V solves, and on
@@ -79,7 +79,7 @@ def dc_sweep(params: DeviceParams, v_start: float, v_stop: float,
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     tol_i = (newton_tol_i if newton_tol_i is not None
-             else 1e-12 * params.area / 25e-12)
+             else _TOL_I_REF * params.area / _TOL_I_REF_AREA)
     k = Coeffs.of(params)
     biases = np.linspace(v_start, v_stop, n_points)
     out = []

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from .analyses import HYSTERESIS_STEPS_PER_PERIOD, KINETICS_DT, PROGRAM_DT
 from .montecarlo import McDistribution, ParamDist
 from .params import DEFAULT_CHUNK, DeviceParams
 from .solver import SolverConfig
@@ -128,15 +129,6 @@ DRIVE_KEYS = {
     },
 }
 
-# Least value of numeric [drive] keys, checked on every element: (bound,
-# strict). Durations, rates and the C-V probe step must be > 0; a
-# hysteresis run needs a second cycle, since its first is the preset.
-_DRIVE_LEAST = dict.fromkeys(("frequency", "width", "widths", "preset_width", "settle",
-                              "edge", "gap", "max_discharge", "t_total", "delta_v"),
-                             (0.0, True))
-_DRIVE_LEAST.update(cycles=(1, False), pulses=(1, False), points=(2, False),
-                    sizes=(1, False), chunk=(1, False))
-
 SOLVER_KEYS = {
     "dt": ("time", None, float),
     "newton_tol_v": ("voltage", 1e-9, float),
@@ -164,10 +156,23 @@ MC_OVERRIDE_KEYS = {
 
 OUTPUT_KEYS = {"dir": ("none", None, str)}
 
-# Default base time step per scenario kind; hysteresis/cv scale with the
-# drive period and transient with its span.
-_DT_DEFAULTS = {"kinetics": 1e-6, "iv": 1e-6, "program": 2e-7, "bench": 2e-7,
-                "mc": None, "hysteresis": None, "cv": None, "transient": None}
+# Least value of numeric [drive] and [mc] keys, checked on every element:
+# (bound, strict). Durations, rates, the C-V probe step and the means of
+# the positive device parameters must be > 0; a hysteresis run needs a
+# second cycle, since its first is the preset.
+_LEAST = dict.fromkeys(("frequency", "width", "widths", "preset_width", "settle",
+                        "edge", "gap", "max_discharge", "t_total", "delta_v",
+                        "t_int_mean", "P_s_mean", "N_depl_mean", "d_e_mean"),
+                       (0.0, True))
+_LEAST.update(dict.fromkeys(("seed", "t_int_sigma", "P_s_sigma", "N_depl_sigma"),
+                            (0, False)),
+              cycles=(1, False), pulses=(1, False), points=(2, False),
+              sizes=(1, False), chunk=(1, False), trials=(1, False))
+
+# Default base time step per scenario kind, as the analyses default it;
+# hysteresis/cv scale with the drive period and transient with its span.
+# The DC sweep (iv) integrates no transient.
+_DT_DEFAULTS = {"kinetics": KINETICS_DT, "program": PROGRAM_DT, "bench": PROGRAM_DT}
 
 
 @dataclass(frozen=True)
@@ -213,11 +218,10 @@ class Scenario:
 
     def _default_dt(self) -> float:
         kind = self.mc.scenario if self.kind == "mc" else self.kind
-        base = _DT_DEFAULTS.get(kind)
-        if base is not None:
-            return base
+        if kind in _DT_DEFAULTS:
+            return _DT_DEFAULTS[kind]
         if kind in ("hysteresis", "cv"):
-            return 1.0 / (self.drive["frequency"] * 1000.0)
+            return 1.0 / (self.drive["frequency"] * HYSTERESIS_STEPS_PER_PERIOD)
         if kind == "transient":
             times = self.drive["times"]
             return max((times[-1] - times[0]) / 1000.0, 1e-12)
@@ -298,6 +302,13 @@ def _parse_scalar(raw: str, quantity: str, pytype, key: str, line: int):
     return value
 
 
+def _check_least(key: str, value, line: int, bound, strict: bool) -> None:
+    for v in value if isinstance(value, tuple) else (value,):
+        if v < bound or (strict and v == bound):
+            raise ScenarioError(f"{key}: must be {'>' if strict else '>='} {bound:g}, "
+                                f"got {v:g}", line)
+
+
 def _read_sections(text: str):
     """Raw pass: {section: {key: (raw value, line)}}, preserving order."""
     sections: dict = {}
@@ -354,17 +365,17 @@ def parse_scenario(text: str, kind: Optional[str] = None) -> Scenario:
     for key, (raw, line) in mc_raw.items():
         if key in MC_KEYS:
             quantity, _default, pytype = MC_KEYS[key]
-            mc_vals[key] = _parse_scalar(raw, quantity, pytype, key, line)
+            mc_vals[key] = value = _parse_scalar(raw, quantity, pytype, key, line)
         elif key in MC_OVERRIDE_KEYS:
-            overrides[key] = _parse_scalar(raw, MC_OVERRIDE_KEYS[key], float, key, line)
+            overrides[key] = value = _parse_scalar(raw, MC_OVERRIDE_KEYS[key], float,
+                                                   key, line)
         else:
             raise ScenarioError(f"unknown key '{key}' in [mc]", line)
+        if key in _LEAST:
+            _check_least(key, value, line, *_LEAST[key])
     if "table" in mc_vals and mc_vals["table"] not in ("21C", "85C"):
         raise ScenarioError(f"mc table must be 21C or 85C, got '{mc_vals['table']}'",
                             mc_raw["table"][1])
-    if mc_vals.get("trials", 1) < 1:
-        raise ScenarioError(f"trials: must be >= 1, got {mc_vals['trials']}",
-                            mc_raw["trials"][1])
     if "scenario" in mc_vals and mc_vals["scenario"] not in MC_SUB_KINDS:
         raise ScenarioError(
             f"mc scenario must be one of {MC_SUB_KINDS}, got '{mc_vals['scenario']}'",
@@ -406,15 +417,12 @@ def parse_scenario(text: str, kind: Optional[str] = None) -> Scenario:
             mode = (mode_raw[0].strip() if mode_raw else drive.get("mode", "voltage"))
             quantity = "voltage" if mode == "voltage" else "current"
         drive[key] = value = _parse_scalar(raw, quantity, pytype, key, line)
-        if key not in _DRIVE_LEAST:
+        if key not in _LEAST:
             continue
-        bound, strict = _DRIVE_LEAST[key]
+        bound, strict = _LEAST[key]
         if (kind_for_drive, key) == ("hysteresis", "cycles"):
             bound = 2
-        for v in value if isinstance(value, tuple) else (value,):
-            if v < bound or (strict and v == bound):
-                raise ScenarioError(f"{key}: must be {'>' if strict else '>='} {bound:g}, "
-                                    f"got {v:g}", line)
+        _check_least(key, value, line, bound, strict)
     if kind_for_drive == "transient":
         if drive["mode"] not in ("voltage", "current"):
             raise ScenarioError(f"transient mode must be voltage or current, "

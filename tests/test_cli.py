@@ -119,13 +119,27 @@ def test_bad_drive_value_exit_1(tmp_path, kind, drive):
     assert "Traceback" not in cp.stderr
 
 
-def test_bad_mc_trials_exit_1(tmp_path):
+@pytest.mark.parametrize("mc", [
+    "trials = 0",
+    "t_int_sigma = -0.1 nm",
+    "P_s_mean = -5 uC/cm2",
+    "N_depl_mean = 0 cm-3",
+    "d_e_mean = -1 nm",
+    "seed = -1",
+])
+def test_bad_mc_value_exit_1(tmp_path, mc):
     scen = tmp_path / "scen.cfg"
-    scen.write_text("[mc]\ntrials = 0\n")
+    scen.write_text(f"[mc]\n{mc}\n")
     cp = run_cli("mc", "--scenario", str(scen), "--out", str(tmp_path))
     assert cp.returncode == 1
     assert cp.stderr.startswith("error: line 2: ")
     assert "Traceback" not in cp.stderr
+
+
+def test_negative_seed_override_exit_1(tmp_path):
+    cp = run_cli("mc", "--seed", "-5", "--out", str(tmp_path))
+    assert_clean_usage_error(cp)
+    assert "--seed" in cp.stderr
 
 
 def test_kind_mismatch_exit_1(tmp_path):

@@ -5,8 +5,6 @@ constants of ``Coeffs``; composed stage by stage from the public functions
 at the same inputs, each of its outputs must agree to rounding.
 """
 
-from dataclasses import replace
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,30 +14,12 @@ from fecapsim.params import ParamsBatch
 from fecapsim.physics import Coeffs
 from fecapsim.solver import _make_step, _State
 
+from strategies import devices
+
 REL = 1e-12
 # Floor on p: the decay factor exp(-(k_down+k_up)*dt) amplifies the rounding
 # of the rate exponent, which matters only where p itself is negligible.
 P_FLOOR = 1e-15
-
-_TABLES = (fc.McDistribution.table_21c(), fc.McDistribution.table_85c())
-
-
-@st.composite
-def devices(draw):
-    """The calibrated device, or one anywhere inside a variability table."""
-    base = fc.DeviceParams()
-    table = draw(st.sampled_from((None,) + _TABLES))
-    if table is None:
-        return base
-    values = {"temperature": table.temperature}
-    for e in table.entries:
-        x = draw(st.floats(e.lower, e.upper))
-        if e.name == "N_depl":
-            values["N_depl_dn"] = values["N_depl_up"] = x
-        else:
-            values[e.name] = x
-    return replace(base, **values)
-
 
 volts = st.floats(-5.0, 5.0)
 

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fecapsim as fc
 from fecapsim.constants import EPS_0, K_B, Q_E
+from fecapsim.params import ParamsBatch
 from fecapsim.physics import DENOM_MIN
 
 import oracle_utils as oracle
+from strategies import TABLES, devices
 
 
 @pytest.fixture
@@ -223,19 +227,29 @@ class TestPhiDepl:
 
 
 class TestLeakage:
-    def test_fn_zero_and_odd(self, params):
+    @settings(max_examples=300, deadline=None)
+    @given(params=devices(), e=st.floats(0.0, 1e12))
+    @example(params=fc.DeviceParams(), e=0.0)
+    @example(params=fc.DeviceParams(), e=1e7)
+    @example(params=fc.DeviceParams(), e=1e8)
+    @example(params=fc.DeviceParams(), e=5e8)
+    def test_fn_zero_and_odd(self, params, e):
         assert fc.j_fn(0.0, params) == 0.0
-        for e in (1e7, 1e8, 5e8):
-            assert fc.j_fn(-e, params) == -fc.j_fn(e, params)
+        assert fc.j_fn(-e, params) == -fc.j_fn(e, params)
+
+    @settings(max_examples=300, deadline=None)
+    @given(params=devices(), e=st.floats(0.0, 1e12))
+    @example(params=fc.DeviceParams(), e=0.0)
+    @example(params=fc.DeviceParams(), e=1e7)
+    @example(params=fc.DeviceParams(), e=1e8)
+    @example(params=fc.DeviceParams(), e=5e8)
+    def test_pf_zero_and_odd(self, params, e):
+        assert fc.j_pf(0.0, params) == 0.0
+        assert fc.j_pf(-e, params) == -fc.j_pf(e, params)
 
     def test_fn_oracle_point(self, params):
         want = float(oracle.j_fn(5e8, 0.65, 1.0))
         assert rel_err(float(fc.j_fn(5e8, params)), want) < 5e-7
-
-    def test_pf_zero_and_odd(self, params):
-        assert fc.j_pf(0.0, params) == 0.0
-        for e in (1e7, 1e8, 5e8):
-            assert fc.j_pf(-e, params) == -fc.j_pf(e, params)
 
     def test_pf_oracle_point(self, params):
         p300 = params.replace(temperature=300.0)
@@ -251,6 +265,31 @@ class TestLeakage:
         fields = np.array([-1e12, -1.0, -1e-6, 0.0, 1e-6, 1.0, 1e12])
         assert np.all(np.isfinite(fc.j_fn(fields, params)))
         assert np.all(np.isfinite(fc.j_pf(fields, params)))
+
+
+def test_batch_matches_each_device_bitwise():
+    # every public function on a heterogeneous batch, against the same call
+    # on each device alone; column i of each field grid is device i's
+    rng = np.random.default_rng(5)
+    batch = ParamsBatch.from_list(fc.sample_params(fc.DeviceParams(), table, rng)
+                                  for table in TABLES for _ in range(3))
+    e = np.concatenate([np.linspace(-1e12, 1e12, 9), np.linspace(-5e8, 5e8, 41), [0.0]])
+    e = e[:, None] + np.linspace(0.0, 1e6, batch.n)
+    p = np.linspace(0.0, 1.0, e.size).reshape(e.shape)
+    calls = {
+        "transition_rates": lambda e, p, prm: fc.transition_rates(e, prm),
+        "p_steady_state": lambda e, p, prm: fc.p_steady_state(e, prm),
+        "c_depl_branches": lambda e, p, prm: fc.c_depl_branches(e, prm),
+        "c_depl": lambda e, p, prm: fc.c_depl(p, e, prm),
+        "phi_depl": lambda e, p, prm: fc.phi_depl(p, e * prm.t_fe, prm, e),
+        "j_fn": lambda e, p, prm: fc.j_fn(e, prm),
+        "j_pf": lambda e, p, prm: fc.j_pf(e, prm),
+    }
+    for name, call in calls.items():
+        got = np.array(call(e, p, batch))
+        for i in range(batch.n):
+            want = np.array(call(e[:, i], p[:, i], batch.device(i)))
+            assert got[..., i].tobytes() == want.tobytes(), (name, i)
 
 
 class TestDeviceParams:

@@ -1,6 +1,7 @@
 import pytest
 
 import fecapsim as fc
+from fecapsim.analyses import KINETICS_DT, PROGRAM_DT
 from fecapsim.scenario import (
     KINDS,
     Scenario,
@@ -124,9 +125,24 @@ def test_mc_overrides_modify_distribution():
     assert t_int.mean == pytest.approx(1.5e-9)
 
 
+def test_mc_fixed_charge_mean_may_be_negative():
+    s = parse_scenario("[mc]\nQ_fix_depl_mean = -5 uC/cm2\n", kind="mc")
+    q_fix = next(e for e in s.mc.distribution().entries if e.name == "Q_fix_depl")
+    assert q_fix.mean == pytest.approx(-0.05)
+
+
 def test_mc_table_validated():
     with pytest.raises(ScenarioError):
         parse_scenario("[mc]\ntable = 50C\n", kind="mc")
+
+
+def test_default_dt_is_the_analyses_default():
+    want = {"kinetics": KINETICS_DT, "program": PROGRAM_DT, "bench": PROGRAM_DT}
+    for kind, dt in want.items():
+        assert parse_scenario("", kind=kind).solver_config().dt == dt
+    for sub in ("kinetics", "program"):
+        s = parse_scenario(f"[mc]\nscenario = {sub}\n", kind="mc")
+        assert s.solver_config().dt == want[sub]
 
 
 def test_default_dt_scales_with_frequency():
