@@ -21,6 +21,7 @@ from .solver import (
     _State,
     SolveStats,
     SolverConfig,
+    StepFailureError,
     TimeSeries,
     batch_final_state,
     run_transient_batch,
@@ -260,8 +261,9 @@ def current_program_batch(pb: ParamsBatch, pulse_current: float,
     current falls below ``discharge_threshold`` (or ``max_discharge`` of
     clamp time elapses); otherwise pulses are separated by a zero-current
     hold of ``gap``. Every phase is timed from its own start, so a device's
-    result does not depend on how long the others took to discharge. If
-    *runs* is a list, each transient is appended to it as (device indices,
+    result does not depend on how long the others took to discharge. A
+    StepFailureError names devices by their index in *pb*. If *runs* is a
+    list, each transient is appended to it as (device indices,
     TimeSeries) in the order run.
     """
     if n_pulses < 1:
@@ -270,7 +272,12 @@ def current_program_batch(pb: ParamsBatch, pulse_current: float,
     everyone = np.arange(pb.n)
 
     def run(sub, idx, state, wf):
-        ts = run_transient_batch(sub, wf, cfg, init=state)
+        try:
+            ts = run_transient_batch(sub, wf, cfg, init=state)
+        except StepFailureError as err:
+            # A clamp runs on part of *pb*: name its devices by their index in *pb*.
+            raise StepFailureError(err.t, err.dt, err.loop_residual, err.kcl_residual,
+                                   idx[list(err.device_indices)]) from err
         if runs is not None:
             runs.append((idx, ts))
         return batch_final_state(ts), ts

@@ -2,24 +2,28 @@
 
 Runs N electrically independent FeCap instances through a short
 current-programming transient and reports wall-clock time per array size.
-Devices advance in vectorized chunks; the drive is replicated per cell (no
-shared bit-line network), so the benchmark measures the model's convergence
-and integration cost at array scale, nothing else.
+Devices advance in vectorized chunks through the Monte-Carlo chunk runner,
+which sets aside each cell that fails to converge; the drive is replicated
+per cell (no shared bit-line network), so the benchmark measures the
+model's convergence and integration cost at array scale, nothing else.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .montecarlo import McDistribution, _chunk_bounds, _trial_rngs, sample_params
+from .montecarlo import _chunk_bounds, _map_chunks, _pool
+# The bench draws through montecarlo; this binding stays for tracers that
+# look up this module's names.
+from .montecarlo import sample_params  # noqa: F401
 from .params import DEFAULT_CHUNK, DeviceParams, ParamsBatch
-from .solver import SolveStats, SolverConfig, StepFailureError, run_transient_batch
+from .solver import SolveStats, SolverConfig, run_transient_batch
 from .waveform import CURRENT, DEFAULT_EDGE, Waveform, from_segments
 
 
@@ -61,25 +65,10 @@ def bench_waveform(pulse_current: float = 250e-9, pulse_width: float = 10e-6,
     ])
 
 
-def _run_chunk(params: DeviceParams, size: int, wf: Waveform, cfg: SolverConfig,
-               mc: Optional[tuple], mc_offset: int):
-    """Integrate one chunk; returns (stats, final polarization of device 0)."""
-    if mc is None:
-        pb = ParamsBatch.from_params(params, size)
-    else:
-        dist, seed = mc
-        rngs = _trial_rngs(seed, mc_offset, mc_offset + size)
-        pb = ParamsBatch.from_list([sample_params(params, dist, r) for r in rngs])
+def _final_pol(wf: Waveform, cfg: SolverConfig, pb: ParamsBatch):
+    """Solver work and final polarization of every device of *pb*."""
     ts = run_transient_batch(pb, wf, cfg)
-    return ts.stats, float(ts.pol[-1, 0])
-
-
-def _chunk_outcome(fn, *args):
-    """Result of ``fn(*args)``, or the StepFailureError it raised."""
-    try:
-        return fn(*args)
-    except StepFailureError as err:
-        return err
+    return ts.stats, ts.pol[-1]
 
 
 def run_array_bench(params: DeviceParams, sizes: Sequence[int],
@@ -90,12 +79,12 @@ def run_array_bench(params: DeviceParams, sizes: Sequence[int],
     """Time the programming transient across array sizes.
 
     Every device sees the same drive; parameters are identical unless *mc*
-    supplies (McDistribution, seed) for per-cell sampling. Wall time wraps
-    the integration only (chunk parameter setup is excluded for identical
-    parameters and included for sampled ones, where drawing is part of the
-    array instantiation). A chunk that fails to converge counts the devices
-    its StepFailureError names as failures; the other chunks still run.
-    With ``workers > 1`` one process pool serves every size.
+    supplies (McDistribution, seed) for per-cell sampling. Wall time covers
+    building each chunk's parameters (replicated, or drawn: drawing is part
+    of the array instantiation) and the integration. A cell that fails to
+    converge counts as a failure and its chunk reruns without it, so
+    ``failures`` is the exact number of failing cells. With ``workers > 1``
+    one process pool serves every size.
     """
     import platform
 
@@ -108,37 +97,24 @@ def run_array_bench(params: DeviceParams, sizes: Sequence[int],
         machine=(f"{platform.platform()} | python {platform.python_version()}"
                  f" | numpy {np.__version__} | cpus {os.cpu_count()}"),
     )
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool_cm = ProcessPoolExecutor(max_workers=workers)
-    else:
-        pool_cm = nullcontext()
-    with pool_cm as pool:
+    run = partial(_final_pol, wf, cfg)
+    with _pool(workers) as pool:
         for n in sizes:
-            args = [(params, b - a, wf, cfg, mc, a) for a, b in _chunk_bounds(n, chunk)]
             t0 = time.perf_counter()
-            if pool is not None:
-                futures = [pool.submit(_run_chunk, *a) for a in args]
-                results = [_chunk_outcome(f.result) for f in futures]
-            else:
-                results = [_chunk_outcome(_run_chunk, *a) for a in args]
+            chunks = list(_map_chunks(pool, run, params, mc, _chunk_bounds(n, chunk)))
             stats = SolveStats()
-            failures = 0
-            for r in results:
-                if isinstance(r, StepFailureError):
-                    failures += len(r.device_indices)
-                else:
-                    stats.merge(r[0])
-            first = results[0]
-            ok = not isinstance(first, StepFailureError)
-            steps_first = first[0].steps if ok else 0
-            pol0 = first[1] if ok else np.nan
+            covered = 0
+            for got, live, _ in chunks:
+                if got is not None:
+                    stats.merge(got[0])
+                covered += live.size
+            first, live0, _ = chunks[0]
+            ok = first is not None and live0[0] == 0
             wall = time.perf_counter() - t0
             report.sizes.append(int(n))
             report.wall_s.append(wall)
-            report.steps.append(steps_first)
+            report.steps.append(first[0].steps if first is not None else 0)
             report.newton_iters.append(stats.newton_iters)
-            report.failures.append(failures)
-            report.final_pol_device0.append(pol0)
+            report.failures.append(int(n) - covered)
+            report.final_pol_device0.append(float(first[1][0]) if ok else np.nan)
     return report

@@ -7,12 +7,16 @@ narrower when a trial's time-series record is long. A device's result
 never depends on the rest of its batch (each program phase is timed from
 its own start), so results are bit-identical for a given (seed, n_trials,
 scenario) no matter how trials are chunked or how many workers execute
-them.
+them, and a batch rerun without the trials that failed to converge gives
+the others the same bits. The array bench draws and runs its cells through
+the same chunk runner.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -216,53 +220,55 @@ def _batch_width(spec: ScenarioSpec) -> int:
                max(1, _RECORD_BUDGET // (_ROW_BYTES * _record_rows(spec))))
 
 
-def _output_shapes(spec: ScenarioSpec) -> dict:
-    if spec.kind == "hysteresis":
-        return {k: () for k in ("pr_pos", "pr_neg", "vc_pos", "vc_neg")}
-    if spec.kind == "kinetics":
-        return {"delta_p": (len(spec.widths),)}
-    return {"pol_after": (spec.n_pulses,)}
+def _run_chunk(run: Callable, base: DeviceParams, mc: Optional[tuple],
+               start: int, stop: int):
+    """``run`` devices [start, stop) as one batch, setting failing ones aside.
 
-
-def _run_chunk(spec: ScenarioSpec, base: DeviceParams, dist: McDistribution,
-               seed: int, start: int, stop: int):
-    """Run trials [start, stop); returns (outputs, failed local indices, samples)."""
-    rngs = _trial_rngs(seed, start, stop)
-    trials = [sample_params(base, dist, rng) for rng in rngs]
-    samples = {e.name: np.array([_dist_value(p, e.name) for p in trials])
-               for e in dist.entries}
-    shapes = _output_shapes(spec)
-    m = stop - start
-    outputs = {k: np.full((m,) + s, np.nan) for k, s in shapes.items()}
-    failed = []
-    _run_trials(spec, trials, 0, outputs, failed)
-    return outputs, failed, samples
-
-
-def _run_trials(spec: ScenarioSpec, trials: list, offset: int, outputs: dict,
-                failed: list):
-    """Fill rows offset.. of *outputs* with the batch *trials*.
-
-    A batch that fails to converge is rerun by halves, recursively, so k
-    non-converging trials cost O(k log n) batch runs and are isolated
-    without biasing the others; their local indices go to *failed*.
+    The batch is drawn from ``mc = (McDistribution, seed)``, or is *base*
+    replicated when *mc* is None. After a StepFailureError, ``run`` is
+    called again without the devices the error names: devices are
+    independent, so the others keep their bits, and k failing devices cost
+    at most 1 + k runs. An error that names no device fails every device
+    left. Returns (the last run's result or None, the local indices of the
+    devices it covers, the drawn value of each distribution entry).
     """
-    try:
-        got = _outputs_for_batch(spec, ParamsBatch.from_list(trials))
-    except StepFailureError:
-        if len(trials) == 1:
-            failed.append(offset)
-            return
-        mid = len(trials) // 2
-        _run_trials(spec, trials[:mid], offset, outputs, failed)
-        _run_trials(spec, trials[mid:], offset + mid, outputs, failed)
+    if mc is None:
+        pb, drawn = ParamsBatch.from_params(base, stop - start), {}
+    else:
+        dist, seed = mc
+        pb = ParamsBatch.from_list(sample_params(base, dist, rng)
+                                   for rng in _trial_rngs(seed, start, stop))
+        drawn = {e.name: getattr(pb, "N_depl_dn" if e.name == "N_depl" else e.name)
+                 for e in dist.entries}
+    live, batch = np.arange(pb.n), pb
+    while True:
+        try:
+            return run(batch), live, drawn
+        except StepFailureError as err:
+            live = np.delete(live, err.device_indices) if err.device_indices else live[:0]
+        if live.size == 0:
+            return None, live, drawn
+        batch = pb.slice(live)
+
+
+@contextmanager
+def _pool(workers: int):
+    """A process pool of *workers*, or None to run in this process."""
+    if workers <= 1:
+        yield None
         return
-    for k in outputs:
-        outputs[k][offset:offset + len(trials)] = got[k]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield pool
 
 
-def _dist_value(params: DeviceParams, name: str) -> float:
-    return params.N_depl_dn if name == "N_depl" else getattr(params, name)
+def _map_chunks(pool, run: Callable, base: DeviceParams, mc: Optional[tuple],
+                bounds: list):
+    """Iterator over :func:`_run_chunk` of each [start, stop) in *bounds*, in order."""
+    starts, stops = zip(*bounds)
+    return (map if pool is None else pool.map)(partial(_run_chunk, run, base, mc),
+                                              starts, stops)
 
 
 @dataclass
@@ -295,41 +301,35 @@ def run_mc(spec: ScenarioSpec, base: DeviceParams, dist: McDistribution,
     DEFAULT_CHUNK trials, fewer when a trial's record is long enough that a
     batch would hold more than 128 MiB of it; when ``workers`` > 1 there are
     at least ``min(workers, n_trials)`` batches, distributed over processes.
-    Failed trials are excluded from the aggregates and reported; more than
-    10% failures is an error.
+    ``progress(stop, n_trials)`` is called after each batch, in order.
+    Trials that fail to converge are left out of their batch's rerun,
+    excluded from the aggregates and reported; more than 10% failures is
+    an error.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     bounds = _chunk_bounds(n_trials, _batch_width(spec), workers)
-    args = [(spec, base, dist, seed, a, b) for a, b in bounds]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_chunk_star, args))
-    else:
-        parts = []
-        for i, a in enumerate(args):
-            parts.append(_run_chunk_star(a))
-            if progress is not None:
-                progress(bounds[i][1], n_trials)
-
-    shapes = _output_shapes(spec)
-    outputs = {k: np.full((n_trials,) + s, np.nan) for k, s in shapes.items()}
+    outputs = {}
     samples = {e.name: np.empty(n_trials) for e in dist.entries}
-    failed = []
-    for (a, b), (out_c, failed_c, samples_c) in zip(bounds, parts):
-        for k in outputs:
-            outputs[k][a:b] = out_c[k]
-        for k in samples:
-            samples[k][a:b] = samples_c[k]
-        failed.extend(a + i for i in failed_c)
+    ok = np.zeros(n_trials, dtype=bool)
+    with _pool(workers) as pool:
+        chunks = _map_chunks(pool, partial(_outputs_for_batch, spec), base,
+                             (dist, seed), bounds)
+        for (a, b), (got, live, drawn) in zip(bounds, chunks):
+            for k, v in (got or {}).items():
+                if k not in outputs:
+                    outputs[k] = np.full((n_trials,) + v.shape[1:], np.nan)
+                outputs[k][a + live] = v
+            for k in samples:
+                samples[k][a:b] = drawn[k]
+            ok[a + live] = True
+            if progress is not None:
+                progress(b, n_trials)
 
-    if len(failed) > 0.1 * n_trials:
-        raise McError(f"{len(failed)}/{n_trials} trials failed to converge")
+    failed = np.flatnonzero(~ok)
+    if failed.size > 0.1 * n_trials:
+        raise McError(f"{failed.size}/{n_trials} trials failed to converge")
 
-    ok = np.ones(n_trials, dtype=bool)
-    ok[failed] = False
     mean = {k: np.mean(v[ok], axis=0) for k, v in outputs.items()}
     std = {k: np.std(v[ok], axis=0) for k, v in outputs.items()}
     histogram = None
@@ -339,7 +339,7 @@ def run_mc(spec: ScenarioSpec, base: DeviceParams, dist: McDistribution,
         histogram = (counts, edges)
     return McResult(seed=seed, n_trials=n_trials, spec=spec, outputs=outputs,
                     mean=mean, std=std, histogram=histogram, samples=samples,
-                    failed_trials=tuple(failed))
+                    failed_trials=tuple(int(i) for i in failed))
 
 
 def _chunk_bounds(n: int, width: int, min_chunks: int = 1):
@@ -351,7 +351,3 @@ def _chunk_bounds(n: int, width: int, min_chunks: int = 1):
     m = max(-(-n // width), min(min_chunks, n))
     edges = [i * n // m for i in range(m + 1)]
     return list(zip(edges[:-1], edges[1:]))
-
-
-def _run_chunk_star(args):
-    return _run_chunk(*args)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fecapsim as fc
+from fecapsim import analyses, montecarlo
 from fecapsim.analyses import current_program_batch, extract_loop_metrics, zero_crossings
 
 
@@ -172,6 +173,29 @@ class TestCurrentProgram:
                                     cfg=fc.SolverConfig(dt=2e-6))
         assert abs(train.polarization_after[-1]
                    - single.polarization_after[-1]) > 1e-3 * params.P_s
+
+    def test_clamp_failure_names_device_in_batch(self, params, monkeypatch):
+        # a later clamp runs on the devices still discharging; a failure in
+        # it must name them by their index in the whole batch
+        base = params.replace(area=25e-12)
+        dist = montecarlo.McDistribution.table_21c()
+        pb = fc.ParamsBatch.from_list(montecarlo.sample_params(base, dist, r)
+                                      for r in montecarlo._trial_rngs(9, 0, 4))
+        real = analyses.run_transient_batch
+        failing = []
+
+        def spy(sub, wf, cfg=None, init=None):
+            if wf.mode == "voltage" and sub.n < pb.n:
+                failing.append(sub.t_int[0])
+                raise fc.StepFailureError(1e-6, 1e-7, 1.0, 1.0, (0,))
+            return real(sub, wf, cfg, init=init)
+
+        monkeypatch.setattr(analyses, "run_transient_batch", spy)
+        with pytest.raises(fc.StepFailureError) as info:
+            current_program_batch(pb, 250e-9, 1e-5, 1)
+        (want,) = np.flatnonzero(pb.t_int == failing[0])
+        assert want != 0
+        assert info.value.device_indices == (want,)
 
     def test_no_discharge_gap_mode(self, params):
         p25 = params.replace(area=25e-12)

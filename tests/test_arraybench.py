@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import fecapsim as fc
+from fecapsim import montecarlo
 from fecapsim.arraybench import bench_waveform, run_array_bench
 from fecapsim.montecarlo import McDistribution
 from fecapsim.params import ParamsBatch
-from fecapsim.solver import run_transient_batch
+from fecapsim.solver import StepFailureError, run_transient_batch
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +72,20 @@ def test_failures_counted_in_every_chunk(p25):
         rep = run_array_bench(p25, [600], cfg=cfg, workers=workers)
         assert rep.failures == [600], workers
         assert np.isnan(rep.final_pol_device0[0])
+
+
+def test_every_failing_cell_counted(p25):
+    # the cells fail at different steps, so each failing run names only
+    # some of them; every one must still be counted
+    cfg = fc.SolverConfig(dt=2e-7, record_every=10**9, max_newton_iters=2,
+                          max_step_halvings=0)
+    dist, seed = McDistribution.table_21c(), 5
+    rep = run_array_bench(p25, [64], cfg=cfg, chunk=32, mc=(dist, seed))
+    assert rep.failures == [64]
+    for i, rng in enumerate(montecarlo._trial_rngs(seed, 0, 64)):
+        alone = ParamsBatch.from_params(montecarlo.sample_params(p25, dist, rng))
+        with pytest.raises(StepFailureError):
+            run_transient_batch(alone, bench_waveform(), cfg)
 
 
 def test_one_pool_serves_every_size(p25, monkeypatch):

@@ -183,6 +183,42 @@ def test_mc_run(tmp_path):
         assert (tmp_path / name).exists()
 
 
+def test_mc_workers_write_the_same_csv(tmp_path):
+    scen = tmp_path / "scen.cfg"
+    scen.write_text(
+        "[mc]\nscenario = hysteresis\ntrials = 12\nseed = 5\n"
+        "[drive]\namplitude = 3 V\nfrequency = 1 kHz\ncycles = 2\n"
+        "[solver]\ndt = 5 us\n"
+    )
+    names = ("mc_trials.csv", "mc_aggregate.csv", "mc_histogram.csv")
+    written = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        cp = run_cli("mc", "--scenario", str(scen), "--out", str(out),
+                     "--workers", workers)
+        assert cp.returncode == 0, cp.stderr
+        written.append([(out / name).read_bytes() for name in names])
+    assert written[0] == written[1]
+
+
+def test_bench_workers_match_but_wall_time(tmp_path):
+    scen = tmp_path / "scen.cfg"
+    scen.write_text("[device]\narea = 25 um2\n[drive]\nsizes = 5, 40\nchunk = 16\n")
+    tables = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        cp = run_cli("bench", "--scenario", str(scen), "--out", str(out),
+                     "--workers", workers)
+        assert cp.returncode == 0, cp.stderr
+        lines = (out / "bench.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        wall = header.index("wall_s")
+        tables.append([[v for j, v in enumerate(line.split(",")) if j != wall]
+                       for line in lines])
+    assert tables[0] == tables[1]
+    assert len(tables[0]) == 3
+
+
 def test_seed_override_changes_manifest(tmp_path):
     cp = run_cli("iv", "--out", str(tmp_path), "--seed", "424242")
     assert cp.returncode == 0

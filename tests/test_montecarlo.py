@@ -142,6 +142,15 @@ def test_run_mc_workers_match_serial(base, quick_spec):
         assert np.array_equal(a.outputs[k], b.outputs[k])
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_progress_after_each_batch(base, quick_spec, monkeypatch, workers):
+    monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 2)
+    calls = []
+    fc.run_mc(quick_spec, base, McDistribution.table_21c(), 6, seed=7,
+              workers=workers, progress=lambda done, n: calls.append((done, n)))
+    assert calls == [(2, 6), (4, 6), (6, 6)]
+
+
 def test_single_trial_aggregates(base, quick_spec):
     dist = all_sigma_zero(McDistribution.table_21c())
     res = fc.run_mc(quick_spec, base, dist, 1, seed=5)
@@ -173,8 +182,9 @@ def test_failed_trials_excluded(base, quick_spec, monkeypatch):
     threshold = 1.6153e-9  # exactly one of the 12 seed-3 draws exceeds this
 
     def flaky(spec, pb):
-        if np.any(pb.t_int > threshold):
-            raise StepFailureError(1e-6, 1e-7, 1.0, 1.0, (0,))
+        bad = np.flatnonzero(pb.t_int > threshold)
+        if bad.size:
+            raise StepFailureError(1e-6, 1e-7, 1.0, 1.0, bad)
         return real(spec, pb)
 
     monkeypatch.setattr(montecarlo, "_outputs_for_batch", flaky)
@@ -192,14 +202,16 @@ def test_failed_trials_excluded(base, quick_spec, monkeypatch):
 def test_failed_chunk_rerun_by_halves(base, quick_spec, monkeypatch):
     # a stand-in for the scenario, so that a whole 200-trial chunk costs
     # nothing: each trial's output is its own t_int, which also checks that
-    # every half lands in its own rows
+    # every survivor lands in its own row. Each failing run names one
+    # failing device, the first, as a solver step that fails on it alone.
     calls = []
     threshold = 2.0e-9
 
     def fake(spec, pb):
         calls.append(pb.n)
-        if np.any(pb.t_int > threshold):
-            raise StepFailureError(1e-6, 1e-7, 1.0, 1.0, (0,))
+        bad = np.flatnonzero(pb.t_int > threshold)
+        if bad.size:
+            raise StepFailureError(1e-6, 1e-7, 1.0, 1.0, bad[:1])
         return {k: pb.t_int.copy() for k in ("pr_pos", "pr_neg", "vc_pos", "vc_neg")}
 
     monkeypatch.setattr(montecarlo, "_outputs_for_batch", fake)
@@ -213,9 +225,11 @@ def test_failed_chunk_rerun_by_halves(base, quick_spec, monkeypatch):
     ok[bad] = False
     assert np.array_equal(res.outputs["pr_pos"][ok], t_int[ok])
     assert np.all(np.isnan(res.outputs["pr_pos"][bad]))
-    # one chunk, then at most two halves per level for each failing trial
+    # the whole chunk first, and never more runs than bisecting would take
     assert calls[0] == n
     assert len(calls) <= 1 + 2 * bad.size * int(np.ceil(np.log2(n)))
+    # one rerun per failing trial, each without the trials set aside before
+    assert len(calls) == 1 + bad.size
 
 
 def test_chunk_bounds_balanced_contiguous():
