@@ -3,8 +3,15 @@
 Format: ``[section]`` headers with ``key = value [unit]`` lines; ``#``
 starts a comment. Sections: ``[scenario]`` (kind), ``[device]`` (parameter
 overrides in paper or SI units), ``[drive]`` (per-kind drive spec),
-``[solver]``, ``[mc]``, ``[output]``. Unknown sections, unknown keys, bad
-units and out-of-range values are all fatal, with line numbers.
+``[solver]`` (only ``dt`` for kind mc), ``[mc]``, ``[output]``. Unknown
+sections, unknown keys, bad units and out-of-range values are all fatal,
+with line numbers.
+
+Each section has one key table of :class:`_Key` entries (quantity, default,
+type, least bound, allowed strings); one loop, :func:`_section`, parses and
+checks every section against its table, and one, :func:`_emit_section`,
+writes it back. Integer keys take integral values only and read integer
+literals exactly.
 
 Parsing resolves every omitted field from the defaults (device defaults are
 the calibrated parameter table), so a parsed Scenario is fully concrete;
@@ -15,8 +22,8 @@ the calibrated parameter table), so a parsed Scenario is fully concrete;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import asdict, dataclass, field
+from typing import NamedTuple, Optional
 
 from .analyses import HYSTERESIS_STEPS_PER_PERIOD, KINETICS_DT, PROGRAM_DT
 from .montecarlo import McDistribution, ParamDist
@@ -54,120 +61,130 @@ _QUANTITY_UNITS = {
     "none": ("", "1"),
 }
 
-# key -> (DeviceParams field or tuple of fields, quantity)
-DEVICE_KEYS = {
-    "area": ("area", "area"),
-    "t_fe": ("t_fe", "length"),
-    "t_int": ("t_int", "length"),
-    "eps_fe": ("eps_fe", "none"),
-    "eps_int": ("eps_int", "none"),
-    "eps_depl": ("eps_depl", "none"),
-    "W_b": ("W_b", "energy"),
-    "d_e": ("d_e", "length"),
-    "E_off": ("E_off", "field"),
-    "P_s": ("P_s", "charge_density"),
-    "N_depl": (("N_depl_dn", "N_depl_up"), "density"),
-    "N_depl_dn": ("N_depl_dn", "density"),
-    "N_depl_up": ("N_depl_up", "density"),
-    "N_fe": ("N_fe", "density"),
-    "Q_fix_depl": ("Q_fix_depl", "charge_density"),
-    "m_eff_int": ("m_eff_int", "none"),
-    "phi_b_int": ("phi_b_int", "voltage"),
-    "phi_tr_fe": ("phi_tr_fe", "voltage"),
-    "mu_fe": ("mu_fe", "mobility"),
-    "temperature": ("temperature", "temperature"),
-}
 
-# key -> (quantity, default, pytype); pytype: float | int | bool | str | list
+class _Key(NamedTuple):
+    """One scenario key: the quantity its units belong to, its default and
+    its type: float, int, bool, str or list (a tuple of numbers, integers
+    when the default's are). *least* = (bound, strict) is checked on every
+    element; *choices* lists the allowed strings."""
+
+    quantity: str
+    default: object = None
+    pytype: type = float
+    least: Optional[tuple] = None
+    choices: tuple = ()
+
+    @property
+    def integer(self) -> bool:
+        return self.pytype is int or (self.pytype is list
+                                      and isinstance(self.default[0], int))
+
+
+_POSITIVE = (0.0, True)
+_AT_LEAST_0 = (0, False)
+_AT_LEAST_1 = (1, False)
+
+SCENARIO_KEYS = {"kind": _Key("none", None, str, choices=KINDS)}
+
+# key -> quantity. Each key sets the DeviceParams field of its name, except
+# N_depl, which sets both depletion densities.
+DEVICE_KEYS = {
+    "area": "area", "t_fe": "length", "t_int": "length", "eps_fe": "none",
+    "eps_int": "none", "eps_depl": "none", "W_b": "energy", "d_e": "length",
+    "E_off": "field", "P_s": "charge_density", "N_depl": "density",
+    "N_depl_dn": "density", "N_depl_up": "density", "N_fe": "density",
+    "Q_fix_depl": "charge_density", "m_eff_int": "none", "phi_b_int": "voltage",
+    "phi_tr_fe": "voltage", "mu_fe": "mobility", "temperature": "temperature",
+}
+_DEVICE_TABLE = {key: _Key(quantity) for key, quantity in DEVICE_KEYS.items()}
+_DEVICE_FIELDS = {"N_depl": ("N_depl_dn", "N_depl_up")}
+
+# Durations, rates and the C-V probe step must be > 0. A hysteresis run
+# needs a second cycle, since its first is the preset.
 _KINETICS_WIDTHS = (1e-7, 4.6416e-7, 2.1544e-6, 1e-5, 4.6416e-5, 2.1544e-4, 1e-3)
 DRIVE_KEYS = {
     "hysteresis": {
-        "amplitude": ("voltage", 3.0, float),
-        "frequency": ("frequency", 1e3, float),
-        "cycles": ("none", 3, int),
+        "amplitude": _Key("voltage", 3.0),
+        "frequency": _Key("frequency", 1e3, float, _POSITIVE),
+        "cycles": _Key("none", 3, int, (2, False)),
     },
     "cv": {
-        "amplitude": ("voltage", 3.0, float),
-        "frequency": ("frequency", 1e3, float),
-        "cycles": ("none", 2, int),
-        "delta_v": ("voltage", 0.01, float),
+        "amplitude": _Key("voltage", 3.0),
+        "frequency": _Key("frequency", 1e3, float, _POSITIVE),
+        "cycles": _Key("none", 2, int, _AT_LEAST_1),
+        "delta_v": _Key("voltage", 0.01, float, _POSITIVE),
     },
     "kinetics": {
-        "amplitudes": ("voltage", (1.0, 1.5, 2.0, 2.5, 3.0), list),
-        "widths": ("time", _KINETICS_WIDTHS, list),
-        "preset": ("voltage", -3.0, float),
-        "preset_width": ("time", 1e-3, float),
-        "settle": ("time", 1e-6, float),
-        "edge": ("time", 1e-8, float),
+        "amplitudes": _Key("voltage", (1.0, 1.5, 2.0, 2.5, 3.0), list),
+        "widths": _Key("time", _KINETICS_WIDTHS, list, _POSITIVE),
+        "preset": _Key("voltage", -3.0),
+        "preset_width": _Key("time", 1e-3, float, _POSITIVE),
+        "settle": _Key("time", 1e-6, float, _POSITIVE),
+        "edge": _Key("time", 1e-8, float, _POSITIVE),
     },
     "iv": {
-        "v_start": ("voltage", 0.0, float),
-        "v_stop": ("voltage", 3.0, float),
-        "points": ("none", 61, int),
+        "v_start": _Key("voltage", 0.0),
+        "v_stop": _Key("voltage", 3.0),
+        "points": _Key("none", 61, int, (2, False)),
     },
     "program": {
-        "current": ("current", 250e-9, float),
-        "width": ("time", 1e-5, float),
-        "pulses": ("none", 25, int),
-        "discharge": ("none", True, bool),
-        "gap": ("time", 3e-5, float),
-        "max_discharge": ("time", 3e-5, float),
-        "edge": ("time", 1e-8, float),
+        "current": _Key("current", 250e-9),
+        "width": _Key("time", 1e-5, float, _POSITIVE),
+        "pulses": _Key("none", 25, int, _AT_LEAST_1),
+        "discharge": _Key("none", True, bool),
+        "gap": _Key("time", 3e-5, float, _POSITIVE),
+        "max_discharge": _Key("time", 3e-5, float, _POSITIVE),
+        "edge": _Key("time", 1e-8, float, _POSITIVE),
     },
     "transient": {
-        "mode": ("none", "voltage", str),
-        "times": ("time", (0.0, 1e-3), list),
-        "values": ("none", (0.0, 0.0), list),
+        "mode": _Key("none", "voltage", str, choices=("voltage", "current")),
+        "times": _Key("time", (0.0, 1e-3), list),
+        # Currents under current drive; see _drive_table.
+        "values": _Key("voltage", (0.0, 0.0), list),
     },
     "bench": {
-        "sizes": ("none", (100, 1000, 10000, 100000), list),
-        "current": ("current", 250e-9, float),
-        "width": ("time", 1e-5, float),
-        "t_total": ("time", 3e-5, float),
-        "chunk": ("none", DEFAULT_CHUNK, int),
-        "edge": ("time", 1e-8, float),
+        "sizes": _Key("none", (100, 1000, 10000, 100000), list, _AT_LEAST_1),
+        "current": _Key("current", 250e-9),
+        "width": _Key("time", 1e-5, float, _POSITIVE),
+        "t_total": _Key("time", 3e-5, float, _POSITIVE),
+        "chunk": _Key("none", DEFAULT_CHUNK, int, _AT_LEAST_1),
+        "edge": _Key("time", 1e-8, float, _POSITIVE),
     },
 }
 
+# Checked as a whole by SolverConfig.
 SOLVER_KEYS = {
-    "dt": ("time", None, float),
-    "newton_tol_v": ("voltage", 1e-9, float),
-    "newton_tol_i": ("current", None, float),
-    "max_newton_iters": ("none", 20, int),
-    "max_step_halvings": ("none", 12, int),
-    "p_init": ("none", 0.0, float),
-    "record_every": ("none", 1, int),
+    "dt": _Key("time"),
+    "newton_tol_v": _Key("voltage", 1e-9),
+    "newton_tol_i": _Key("current"),
+    "max_newton_iters": _Key("none", 20, int),
+    "max_step_halvings": _Key("none", 12, int),
+    "p_init": _Key("none", 0.0),
+    "record_every": _Key("none", 1, int),
 }
 
 MC_KEYS = {
-    "table": ("none", "21C", str),
-    "trials": ("none", 200, int),
-    "seed": ("none", 12345, int),
-    "scenario": ("none", "hysteresis", str),
+    "table": _Key("none", "21C", str, choices=("21C", "85C")),
+    "trials": _Key("none", 200, int, _AT_LEAST_1),
+    "seed": _Key("none", 12345, int, _AT_LEAST_0),
+    "scenario": _Key("none", "hysteresis", str, choices=MC_SUB_KINDS),
 }
-# Mean/sigma overrides of the variability table, e.g. "t_int_sigma = 0.3 nm".
+# Mean/sigma overrides of the variability table, e.g. "t_int_sigma = 0.3 nm",
+# in sorted key order, the order McSpec.overrides keeps them in. The means of
+# the positive device parameters must be > 0.
 MC_OVERRIDE_KEYS = {
-    "t_int_mean": "length", "t_int_sigma": "length",
-    "P_s_mean": "charge_density", "P_s_sigma": "charge_density",
-    "N_depl_mean": "density", "N_depl_sigma": "density",
-    "Q_fix_depl_mean": "charge_density",
-    "d_e_mean": "length",
+    "N_depl_mean": _Key("density", least=_POSITIVE),
+    "N_depl_sigma": _Key("density", least=_AT_LEAST_0),
+    "P_s_mean": _Key("charge_density", least=_POSITIVE),
+    "P_s_sigma": _Key("charge_density", least=_AT_LEAST_0),
+    "Q_fix_depl_mean": _Key("charge_density"),
+    "d_e_mean": _Key("length", least=_POSITIVE),
+    "t_int_mean": _Key("length", least=_POSITIVE),
+    "t_int_sigma": _Key("length", least=_AT_LEAST_0),
 }
+_MC_TABLE = {**MC_KEYS, **MC_OVERRIDE_KEYS}
 
-OUTPUT_KEYS = {"dir": ("none", None, str)}
-
-# Least value of numeric [drive] and [mc] keys, checked on every element:
-# (bound, strict). Durations, rates, the C-V probe step and the means of
-# the positive device parameters must be > 0; a hysteresis run needs a
-# second cycle, since its first is the preset.
-_LEAST = dict.fromkeys(("frequency", "width", "widths", "preset_width", "settle",
-                        "edge", "gap", "max_discharge", "t_total", "delta_v",
-                        "t_int_mean", "P_s_mean", "N_depl_mean", "d_e_mean"),
-                       (0.0, True))
-_LEAST.update(dict.fromkeys(("seed", "t_int_sigma", "P_s_sigma", "N_depl_sigma"),
-                            (0, False)),
-              cycles=(1, False), pulses=(1, False), points=(2, False),
-              sizes=(1, False), chunk=(1, False), trials=(1, False))
+OUTPUT_KEYS = {"dir": _Key("none", None, str)}
 
 # Default base time step per scenario kind, as the analyses default it;
 # hysteresis/cv scale with the drive period and transient with its span.
@@ -210,6 +227,11 @@ class Scenario:
     mc: McSpec = field(default_factory=McSpec)
     out_dir: Optional[str] = None
 
+    @property
+    def drive_kind(self) -> str:
+        """The kind whose [drive] keys apply: a Monte-Carlo run's sub-scenario."""
+        return self.mc.scenario if self.kind == "mc" else self.kind
+
     def solver_config(self) -> SolverConfig:
         s = dict(self.solver)
         if s.get("dt") is None:
@@ -217,7 +239,7 @@ class Scenario:
         return SolverConfig(**s)
 
     def _default_dt(self) -> float:
-        kind = self.mc.scenario if self.kind == "mc" else self.kind
+        kind = self.drive_kind
         if kind in _DT_DEFAULTS:
             return _DT_DEFAULTS[kind]
         if kind in ("hysteresis", "cv"):
@@ -227,9 +249,23 @@ class Scenario:
             return max((times[-1] - times[0]) / 1000.0, 1e-12)
         return 1e-7
 
-    def drive_keys(self) -> dict:
-        kind = self.mc.scenario if self.kind == "mc" else self.kind
-        return DRIVE_KEYS[kind]
+
+def _drive_table(kind: str, mode: Optional[str]) -> dict:
+    """[drive] keys of *kind*; a transient's values are currents unless its
+    mode is voltage."""
+    table = DRIVE_KEYS[kind]
+    if kind == "transient" and mode != "voltage":
+        table = {**table, "values": table["values"]._replace(quantity="current")}
+    return table
+
+
+def _solver_table(kind: str) -> dict:
+    # A Monte-Carlo run takes only the base step from [solver].
+    return {"dt": SOLVER_KEYS["dt"]} if kind == "mc" else SOLVER_KEYS
+
+
+def _defaults(table: dict) -> dict:
+    return {key: spec.default for key, spec in table.items()}
 
 
 def _numeric_token(tok: str) -> bool:
@@ -270,43 +306,59 @@ def _to_si_checked(value: float, unit: str, quantity: str, key: str, line: int):
         raise ScenarioError(f"{key}: {err}", line) from None
 
 
-def _parse_scalar(raw: str, quantity: str, pytype, key: str, line: int):
-    if pytype is str:
-        return raw.strip()
+def _number(tok: str, integer: bool):
+    """An integer literal is read exactly; anything else as a float."""
+    if integer:
+        try:
+            return int(tok)
+        except ValueError:
+            pass
+    return float(tok)
+
+
+def _parse_numbers(raw: str, spec: _Key, key: str, line: int) -> list:
     nums, unit = _split_unit(raw)
-    if pytype is bool:
-        token = nums.strip().lower()
+    integer = spec.integer
+    try:
+        items = [_number(tok, integer) for tok in nums.replace(" ", "").split(",") if tok]
+    except ValueError:
+        raise ScenarioError(f"{key}: cannot parse number from '{raw}'", line) from None
+    values = [_to_si_checked(v, unit, spec.quantity, key, line) for v in items]
+    if not all(isinstance(v, int) or math.isfinite(v) for v in values):
+        raise ScenarioError(f"{key}: expected finite numbers, got '{raw}'", line)
+    if spec.pytype is list and not values:
+        raise ScenarioError(f"{key}: expected one or more values", line)
+    if spec.pytype is not list and len(values) != 1:
+        raise ScenarioError(f"{key}: expected a single value, got '{raw}'", line)
+    if integer and any(v != int(v) for v in values):
+        raise ScenarioError(f"{key}: expected an integer, got '{raw}'", line)
+    return [int(v) for v in values] if integer else values
+
+
+def _parse_value(raw: str, spec: _Key, key: str, line: int):
+    """The value of *key* in SI units, checked against its choices and its
+    least bound."""
+    if spec.pytype is str:
+        value = raw.strip()
+        if spec.choices and value not in spec.choices:
+            raise ScenarioError(f"{key} must be one of {', '.join(spec.choices)}, "
+                                f"got '{value}'", line)
+        return value
+    if spec.pytype is bool:
+        token = _split_unit(raw)[0].strip().lower()
         if token in ("true", "1", "yes"):
             return True
         if token in ("false", "0", "no"):
             return False
         raise ScenarioError(f"{key}: expected true/false, got '{raw}'", line)
-    try:
-        items = [float(tok) for tok in nums.replace(" ", "").split(",") if tok]
-    except ValueError:
-        raise ScenarioError(f"{key}: cannot parse number from '{raw}'", line) from None
-    values = [_to_si_checked(v, unit, quantity, key, line) for v in items]
-    if not all(math.isfinite(v) for v in values):
-        raise ScenarioError(f"{key}: expected finite numbers, got '{raw}'", line)
-    if pytype is list:
-        if not values:
-            raise ScenarioError(f"{key}: expected one or more values", line)
-        return tuple(values)
-    if len(values) != 1:
-        raise ScenarioError(f"{key}: expected a single value, got '{raw}'", line)
-    value = values[0]
-    if pytype is int:
-        if value != int(value):
-            raise ScenarioError(f"{key}: expected an integer, got '{raw}'", line)
-        return int(value)
-    return value
-
-
-def _check_least(key: str, value, line: int, bound, strict: bool) -> None:
-    for v in value if isinstance(value, tuple) else (value,):
-        if v < bound or (strict and v == bound):
-            raise ScenarioError(f"{key}: must be {'>' if strict else '>='} {bound:g}, "
-                                f"got {v:g}", line)
+    values = _parse_numbers(raw, spec, key, line)
+    if spec.least is not None:
+        bound, strict = spec.least
+        for v in values:
+            if v < bound or (strict and v == bound):
+                raise ScenarioError(f"{key}: must be {'>' if strict else '>='} {bound:g}, "
+                                    f"got {v}", line)
+    return tuple(values) if spec.pytype is list else values[0]
 
 
 def _read_sections(text: str):
@@ -335,138 +387,76 @@ def _read_sections(text: str):
     return sections
 
 
+def _section(sections: dict, name: str, table: dict, where: str = "") -> dict:
+    """{key: value} of the keys given in [name], in file order, each parsed
+    and checked against its entry in *table*."""
+    values = {}
+    for key, (raw, line) in sections.get(name, {}).items():
+        if key not in table:
+            raise ScenarioError(f"unknown key '{key}' in [{name}]{where}", line)
+        values[key] = _parse_value(raw, table[key], key, line)
+    return values
+
+
 def parse_scenario(text: str, kind: Optional[str] = None) -> Scenario:
     """Parse scenario text; *kind* (e.g. from the CLI subcommand) overrides
     or validates the [scenario] kind entry. Every omitted field is filled
     with its default."""
     sections = _read_sections(text)
-
-    sc = sections.get("scenario", {})
-    for key in sc:
-        if key != "kind":
-            raise ScenarioError(f"unknown key '{key}' in [scenario]", sc[key][1])
-    file_kind = None
-    if "kind" in sc:
-        file_kind = sc["kind"][0].strip()
-        if file_kind not in KINDS:
-            raise ScenarioError(f"unknown scenario kind '{file_kind}'", sc["kind"][1])
+    file_kind = _section(sections, "scenario", SCENARIO_KEYS).get("kind")
     if kind is not None and file_kind is not None and kind != file_kind:
         raise ScenarioError(
             f"scenario kind '{file_kind}' does not match requested '{kind}'",
-            sc["kind"][1])
-    resolved_kind = kind or file_kind
-    if resolved_kind is None:
+            sections["scenario"]["kind"][1])
+    kind = kind or file_kind
+    if kind is None:
         raise ScenarioError("scenario kind not specified")
 
-    # [mc] first: for kind=mc the drive keys depend on the sub-scenario.
-    mc_raw = sections.get("mc", {})
-    mc_vals = {}
-    overrides = {}
-    for key, (raw, line) in mc_raw.items():
-        if key in MC_KEYS:
-            quantity, _default, pytype = MC_KEYS[key]
-            mc_vals[key] = value = _parse_scalar(raw, quantity, pytype, key, line)
-        elif key in MC_OVERRIDE_KEYS:
-            overrides[key] = value = _parse_scalar(raw, MC_OVERRIDE_KEYS[key], float,
-                                                   key, line)
-        else:
-            raise ScenarioError(f"unknown key '{key}' in [mc]", line)
-        if key in _LEAST:
-            _check_least(key, value, line, *_LEAST[key])
-    if "table" in mc_vals and mc_vals["table"] not in ("21C", "85C"):
-        raise ScenarioError(f"mc table must be 21C or 85C, got '{mc_vals['table']}'",
-                            mc_raw["table"][1])
-    if "scenario" in mc_vals and mc_vals["scenario"] not in MC_SUB_KINDS:
-        raise ScenarioError(
-            f"mc scenario must be one of {MC_SUB_KINDS}, got '{mc_vals['scenario']}'",
-            mc_raw["scenario"][1])
-    mc = McSpec(overrides=tuple(sorted(overrides.items())),
-                **{k: v for k, v in mc_vals.items()})
+    # [mc] first: for kind mc the drive keys depend on the sub-scenario.
+    mc = _section(sections, "mc", _MC_TABLE)
+    overrides = tuple((key, mc.pop(key)) for key in MC_OVERRIDE_KEYS if key in mc)
+    s = Scenario(kind, mc=McSpec(overrides=overrides, **mc))
 
-    # [device]
-    dev_raw = sections.get("device", {})
-    dev_values = {}
-    dev_lines = {}
-    for key, (raw, line) in dev_raw.items():
-        if key not in DEVICE_KEYS:
-            raise ScenarioError(f"unknown key '{key}' in [device]", line)
-        fields, quantity = DEVICE_KEYS[key]
-        value = _parse_scalar(raw, quantity, float, key, line)
-        for f_name in (fields if isinstance(fields, tuple) else (fields,)):
-            dev_values[f_name] = value
-            dev_lines[f_name] = (key, line)
-    try:
-        device = DeviceParams(**dev_values)
-    except ValueError as err:
-        name = str(err).split(".")[-1].split(" ")[0] if "." in str(err) else ""
-        key, line = dev_lines.get(name, (name or "device", None))
-        raise ScenarioError(f"{err} (key '{key}')", line) from None
+    device = {}
+    for key, value in _section(sections, "device", _DEVICE_TABLE).items():
+        fields = dict.fromkeys(_DEVICE_FIELDS.get(key, (key,)), value)
+        try:
+            DeviceParams(**fields)
+        except ValueError as err:
+            raise ScenarioError(f"{err} (key '{key}')", sections["device"][key][1]) from None
+        device.update(fields)
+    s.device = DeviceParams(**device)
 
-    # [drive]
-    kind_for_drive = mc.scenario if resolved_kind == "mc" else resolved_kind
-    drive_table = DRIVE_KEYS[kind_for_drive]
-    drive = {k: spec[1] for k, spec in drive_table.items()}
-    drive_raw = sections.get("drive", {})
-    for key, (raw, line) in drive_raw.items():
-        if key not in drive_table:
-            raise ScenarioError(
-                f"unknown key '{key}' in [drive] for kind '{kind_for_drive}'", line)
-        quantity, _default, pytype = drive_table[key]
-        if kind_for_drive == "transient" and key == "values":
-            mode_raw = sections.get("drive", {}).get("mode")
-            mode = (mode_raw[0].strip() if mode_raw else drive.get("mode", "voltage"))
-            quantity = "voltage" if mode == "voltage" else "current"
-        drive[key] = value = _parse_scalar(raw, quantity, pytype, key, line)
-        if key not in _LEAST:
-            continue
-        bound, strict = _LEAST[key]
-        if (kind_for_drive, key) == ("hysteresis", "cycles"):
-            bound = 2
-        _check_least(key, value, line, bound, strict)
-    if kind_for_drive == "transient":
-        if drive["mode"] not in ("voltage", "current"):
-            raise ScenarioError(f"transient mode must be voltage or current, "
-                                f"got '{drive['mode']}'")
-        if len(drive["times"]) != len(drive["values"]):
+    given = sections.get("drive", {})
+    table = _drive_table(s.drive_kind, given.get("mode", ("voltage",))[0])
+    d = s.drive = _defaults(table) | _section(sections, "drive", table,
+                                              f" for kind '{s.drive_kind}'")
+    if s.drive_kind == "transient":
+        if len(d["times"]) != len(d["values"]):
             raise ScenarioError("transient times and values must have equal length")
         # The default times increase, so only a given list can fail here.
-        if any(b <= a for a, b in zip(drive["times"], drive["times"][1:])):
-            raise ScenarioError("times: must be strictly increasing", drive_raw["times"][1])
-    if kind_for_drive == "bench":
-        drive["sizes"] = tuple(int(s) for s in drive["sizes"])
-        # The same test as arraybench.bench_waveform: the tail must be > 0.
-        if drive["t_total"] - drive["width"] - 2 * drive["edge"] <= 0.0:
-            # The defaults pass, so one of the three keys was given.
-            key = next(k for k in ("t_total", "width", "edge") if k in drive_raw)
-            raise ScenarioError(
-                f"t_total must exceed width + 2 * edge, got {drive['t_total']:g} s "
-                f"against {drive['width'] + 2 * drive['edge']:g} s",
-                drive_raw[key][1])
+        if any(b <= a for a, b in zip(d["times"], d["times"][1:])):
+            raise ScenarioError("times: must be strictly increasing", given["times"][1])
+    # The same test as arraybench.bench_waveform: the tail must be > 0.
+    if s.drive_kind == "bench" and d["t_total"] - d["width"] - 2 * d["edge"] <= 0.0:
+        # The defaults pass, so one of the three keys was given.
+        key = next(k for k in ("t_total", "width", "edge") if k in given)
+        raise ScenarioError(
+            f"t_total must exceed width + 2 * edge, got {d['t_total']:g} s "
+            f"against {d['width'] + 2 * d['edge']:g} s", given[key][1])
 
-    # [solver]
-    solver = {k: spec[1] for k, spec in SOLVER_KEYS.items()}
-    for key, (raw, line) in sections.get("solver", {}).items():
-        if key not in SOLVER_KEYS:
-            raise ScenarioError(f"unknown key '{key}' in [solver]", line)
-        quantity, _default, pytype = SOLVER_KEYS[key]
-        solver[key] = _parse_scalar(raw, quantity, pytype, key, line)
+    table = _solver_table(kind)
+    s.solver = _defaults(table) | _section(sections, "solver", table)
+    probe = dict(s.solver)
+    if probe["dt"] is None:
+        probe["dt"] = 1.0
     try:
-        probe = dict(solver)
-        if probe.get("dt") is None:
-            probe["dt"] = 1.0
         SolverConfig(**probe)
     except ValueError as err:
         raise ScenarioError(f"[solver]: {err}") from None
 
-    # [output]
-    out_dir = None
-    for key, (raw, line) in sections.get("output", {}).items():
-        if key not in OUTPUT_KEYS:
-            raise ScenarioError(f"unknown key '{key}' in [output]", line)
-        out_dir = raw.strip()
-
-    return Scenario(kind=resolved_kind, device=device, drive=drive,
-                    solver=solver, mc=mc, out_dir=out_dir)
+    s.out_dir = _section(sections, "output", OUTPUT_KEYS).get("dir")
+    return s
 
 
 def _fmt(value) -> str:
@@ -481,38 +471,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _emit_section(name: str, table: dict, values: dict) -> str:
+    """[name] with a line for each key of *table* that has a value, numbers
+    in the canonical unit."""
+    lines = [f"[{name}]"]
+    for key, spec in table.items():
+        if values.get(key) is None:
+            continue
+        unit = _QUANTITY_UNITS[spec.quantity][0] if spec.pytype in (float, list) else ""
+        lines.append(f"{key} = {_fmt(values[key])}{' ' + unit if unit else ''}")
+    return "\n".join(lines) + "\n"
+
+
 def emit_scenario(s: Scenario) -> str:
     """Canonical text form in SI units; parse(emit(s)) reproduces *s* exactly."""
-    lines = ["[scenario]", f"kind = {s.kind}", "", "[device]"]
-    for key, (fields, quantity) in DEVICE_KEYS.items():
-        if isinstance(fields, tuple) or key == "N_depl":
-            continue
-        unit = _QUANTITY_UNITS[quantity][0]
-        value = getattr(s.device, fields)
-        lines.append(f"{key} = {_fmt(value)}{(' ' + unit) if unit else ''}")
-    lines += ["", "[drive]"]
-    drive_table = s.drive_keys()
-    for key, (quantity, _default, pytype) in drive_table.items():
-        if key == "values":
-            quantity = "voltage" if s.drive.get("mode", "voltage") == "voltage" else "current"
-        unit = _QUANTITY_UNITS[quantity][0]
-        suffix = f" {unit}" if unit and pytype in (float, list) else ""
-        lines.append(f"{key} = {_fmt(s.drive[key])}{suffix}")
-    lines += ["", "[solver]"]
-    for key, (quantity, _default, pytype) in SOLVER_KEYS.items():
-        if s.solver.get(key) is None:
-            continue
-        unit = _QUANTITY_UNITS[quantity][0]
-        suffix = f" {unit}" if unit and pytype is float else ""
-        lines.append(f"{key} = {_fmt(s.solver[key])}{suffix}")
-    lines += ["", "[mc]"]
-    lines.append(f"table = {s.mc.table}")
-    lines.append(f"trials = {s.mc.trials}")
-    lines.append(f"seed = {s.mc.seed}")
-    lines.append(f"scenario = {s.mc.scenario}")
-    for key, value in s.mc.overrides:
-        unit = _QUANTITY_UNITS[MC_OVERRIDE_KEYS[key]][0]
-        lines.append(f"{key} = {_fmt(value)} {unit}")
+    sections = [
+        ("scenario", SCENARIO_KEYS, {"kind": s.kind}),
+        ("device", _DEVICE_TABLE, asdict(s.device)),
+        ("drive", _drive_table(s.drive_kind, s.drive.get("mode")), s.drive),
+        ("solver", _solver_table(s.kind), s.solver),
+        ("mc", _MC_TABLE, {**asdict(s.mc), **dict(s.mc.overrides)}),
+    ]
     if s.out_dir is not None:
-        lines += ["", "[output]", f"dir = {s.out_dir}"]
-    return "\n".join(lines) + "\n"
+        sections.append(("output", OUTPUT_KEYS, {"dir": s.out_dir}))
+    return "\n".join(_emit_section(*section) for section in sections)

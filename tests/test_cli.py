@@ -90,7 +90,8 @@ def test_zero_workers_exit_1(tmp_path):
 def test_bench_zero_size_exit_1(tmp_path):
     scen = tmp_path / "scen.cfg"
     for text in ("[drive]\nchunk = 4\nsizes = 4, 0\n",
-                 "[drive]\nsizes = 4\nchunk = 0\n"):
+                 "[drive]\nsizes = 4\nchunk = 0\n",
+                 "[drive]\nchunk = 4\nsizes = 4, 2.5\n"):
         scen.write_text(text)
         cp = run_cli("bench", "--scenario", str(scen), "--out", str(tmp_path))
         assert_clean_usage_error(cp)
@@ -107,6 +108,7 @@ def test_bench_zero_size_exit_1(tmp_path):
     ("program", "width = -1 us"),
     ("transient", "times = 0, 1e-6, 0.5e-6 s\nvalues = 0, 1, 0 V"),
     ("transient", "values = 0, nan"),
+    ("transient", "mode = dc"),
     ("kinetics", "widths = us"),
     ("bench", "t_total = 5 us\nwidth = 10 us"),
 ])
@@ -134,6 +136,16 @@ def test_bad_mc_value_exit_1(tmp_path, mc):
     assert cp.returncode == 1
     assert cp.stderr.startswith("error: line 2: ")
     assert "Traceback" not in cp.stderr
+
+
+def test_mc_solver_key_other_than_dt_exit_1(tmp_path):
+    scen = tmp_path / "scen.cfg"
+    scen.write_text("[solver]\nmax_newton_iters = 1\nmax_step_halvings = 0\n"
+                    "[mc]\nscenario = kinetics\ntrials = 2\n")
+    cp = run_cli("mc", "--scenario", str(scen), "--out", str(tmp_path))
+    assert cp.returncode == 1
+    assert cp.stderr.startswith("error: line 2: ")
+    assert not (tmp_path / "mc_trials.csv").exists()
 
 
 def test_negative_seed_override_exit_1(tmp_path):

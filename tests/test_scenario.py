@@ -1,9 +1,22 @@
+import math
+from pathlib import Path
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fecapsim as fc
 from fecapsim.analyses import KINETICS_DT, PROGRAM_DT
+from fecapsim.params import PARAM_FIELDS
 from fecapsim.scenario import (
+    DEVICE_KEYS,
+    DRIVE_KEYS,
     KINDS,
+    MC_KEYS,
+    MC_OVERRIDE_KEYS,
+    OUTPUT_KEYS,
+    SOLVER_KEYS,
+    McSpec,
     Scenario,
     ScenarioError,
     emit_scenario,
@@ -159,3 +172,129 @@ def test_comments_and_blank_lines_ignored():
     text = "# top comment\n\n[device]\n# inner\nt_fe = 9.8 nm  # inline\n"
     s = parse_scenario(text, kind="iv")
     assert s.device.t_fe == pytest.approx(9.8e-9)
+
+
+def test_integer_keys_read_exactly():
+    s = parse_scenario("[mc]\nseed = 9007199254740993\ntrials = 1e3\n", kind="mc")
+    assert s.mc.seed == 9007199254740993
+    assert s.mc.trials == 1000
+    s = parse_scenario("[drive]\nsizes = 9007199254740993, 2e1\n", kind="bench")
+    assert s.drive["sizes"] == (9007199254740993, 20)
+
+
+def test_mc_solver_takes_only_dt():
+    s = parse_scenario("[solver]\ndt = 2 us\n", kind="mc")
+    assert s.solver == {"dt": 2e-6}
+    with pytest.raises(ScenarioError, match="line 3: unknown key 'p_init'"):
+        parse_scenario("[solver]\ndt = 2 us\np_init = 0.5\n", kind="mc")
+
+
+def test_readme_lists_every_drive_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("Scenario kinds and their drive keys:")[1].split("\n\n")[1]
+    rows = {}
+    for row in table.splitlines()[2:]:
+        kind, keys = (cell.strip() for cell in row.strip("|").split("|"))
+        rows[kind] = keys
+    assert set(rows) == set(DRIVE_KEYS) | {"mc"}
+    for kind, keys in DRIVE_KEYS.items():
+        assert rows[kind].split(", ") == list(keys)
+
+
+_FINITE = dict(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, **_FINITE)
+
+
+def _values(spec):
+    """Valid values of one table entry: its choices, or numbers above its
+    least bound, integers where the entry holds integers."""
+    if spec.choices:
+        return st.sampled_from(spec.choices)
+    if spec.pytype is bool:
+        return st.booleans()
+    bound, strict = spec.least or (None, False)
+    if spec.integer:
+        number = st.integers(min_value=None if bound is None else bound + strict,
+                             max_value=2**70)
+    else:
+        number = st.floats(min_value=bound, exclude_min=strict, **_FINITE)
+    if spec.pytype is list:
+        return st.lists(number, min_size=1, max_size=4).map(tuple)
+    return number
+
+
+# SolverConfig's own ranges; the [solver] table leaves them to it.
+_SOLVER_VALUES = {
+    "dt": st.none() | _POSITIVE,
+    "newton_tol_v": _POSITIVE,
+    "newton_tol_i": st.none() | _POSITIVE,
+    "max_newton_iters": st.integers(1, 2**70),
+    "max_step_halvings": st.integers(0, 2**70),
+    "p_init": st.floats(0.0, 1.0),
+    "record_every": st.integers(1, 2**70),
+}
+assert set(_SOLVER_VALUES) == set(SOLVER_KEYS)
+
+@st.composite
+def scenarios(draw):
+    """Any valid Scenario as parse_scenario returns it, of any kind."""
+    kind = draw(st.sampled_from(KINDS))
+    device = fc.DeviceParams(**{
+        name: draw(st.floats(**_FINITE) if name in ("E_off", "Q_fix_depl") else _POSITIVE)
+        for name in PARAM_FIELDS})
+    overrides = tuple((key, draw(_values(spec))) for key, spec in MC_OVERRIDE_KEYS.items()
+                      if draw(st.booleans()))
+    mc = McSpec(**{key: draw(_values(spec)) for key, spec in MC_KEYS.items()},
+                overrides=overrides)
+    out_dir = draw(st.none() | st.from_regex(r"[A-Za-z0-9_./-]{0,12}", fullmatch=True))
+    s = Scenario(kind, device=device, mc=mc, out_dir=out_dir)
+    d = s.drive = {key: draw(_values(spec)) for key, spec in DRIVE_KEYS[s.drive_kind].items()}
+    if s.drive_kind == "transient":
+        d["times"] = tuple(sorted(draw(st.lists(st.floats(**_FINITE), min_size=1,
+                                                max_size=4, unique=True))))
+        d["values"] = tuple(draw(st.lists(st.floats(**_FINITE), min_size=len(d["times"]),
+                                          max_size=len(d["times"]))))
+    if s.drive_kind == "bench":
+        # bench_waveform's tail, t_total - width - 2 * edge, must be > 0.
+        d["t_total"] += d["width"] + 2 * d["edge"]
+        assume(math.isfinite(d["t_total"]) and d["t_total"] - d["width"] - 2 * d["edge"] > 0.0)
+    s.solver = {key: draw(values) for key, values in _SOLVER_VALUES.items()
+                if kind != "mc" or key == "dt"}
+    return s
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenarios())
+def test_emit_parse_round_trip(s):
+    assert parse_scenario(emit_scenario(s)) == s
+
+
+_UNITS = ["", "1", "V", "mV", "s", "us", "Hz", "nA", "nm", "um2", "uC/cm2", "cm-3",
+          "MV/cm", "eV", "C", "K", "cm2/Vs", "bogus"]
+_NUMBERS = st.one_of(st.integers().map(str), st.floats().map(repr),
+                     st.sampled_from(["1e3", "2.5", "true", "no", "", "x"]))
+_RAW_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.builds(lambda nums, unit: f"{', '.join(nums)} {unit}",
+              st.lists(_NUMBERS, max_size=3), st.sampled_from(_UNITS)),
+    st.sampled_from([c for spec in MC_KEYS.values() for c in spec.choices]
+                    + list(KINDS) + ["voltage", "current", "dc"]),
+)
+_ALL_KEYS = sorted({"kind", *DEVICE_KEYS, *SOLVER_KEYS, *MC_KEYS, *MC_OVERRIDE_KEYS,
+                    *OUTPUT_KEYS, *(k for table in DRIVE_KEYS.values() for k in table)})
+_SECTIONS = st.lists(st.tuples(
+    st.sampled_from(["scenario", "device", "drive", "solver", "mc", "output", "bogus"]),
+    st.lists(st.tuples(st.sampled_from(_ALL_KEYS + ["bogus"]), _RAW_VALUES), max_size=4)),
+    max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(KINDS), sections=_SECTIONS)
+def test_any_key_value_lines_parse_or_raise_scenario_error(kind, sections):
+    text = "".join(f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in lines)
+                   for name, lines in sections)
+    try:
+        s = parse_scenario(text, kind=kind)
+    except ScenarioError:
+        return
+    assert parse_scenario(emit_scenario(s)) == s
