@@ -167,10 +167,6 @@ def hysteresis(params: DeviceParams, amplitude: float, frequency: float,
     return hysteresis_batch(pb, amplitude, frequency, n_cycles, cfg)[0]
 
 
-def _kinetics_pulse_cfg(width: float, base: SolverConfig) -> SolverConfig:
-    return replace(base, dt=min(max(width / 32.0, 2e-9), base.dt))
-
-
 def switching_kinetics_batch(pb: ParamsBatch, amplitude, widths: Sequence[float],
                              preset_v: float = PRESET_VOLTAGE,
                              preset_width: float = PRESET_WIDTH,
@@ -181,14 +177,14 @@ def switching_kinetics_batch(pb: ParamsBatch, amplitude, widths: Sequence[float]
 
     Preset to negative saturation, discharge to 0 V, then one programming
     pulse; the preset phase is shared across widths via state continuation.
-    Returns an array of shape (n_devices, n_widths).
+    Returns an array of shape (n_devices, n_widths). Only each run's final
+    state is read, so every run records its first and last rows only,
+    whatever ``cfg.record_every`` says.
     """
-    if cfg is None:
-        cfg = SolverConfig(dt=KINETICS_DT)
+    cfg = replace(cfg or SolverConfig(dt=KINETICS_DT), record_every=10**9)
     amplitude = np.broadcast_to(np.asarray(amplitude, dtype=np.float64), (pb.n,))
     preset_cfg = replace(
-        cfg, dt=min(preset_width / 500.0, cfg.dt) if preset_width > 0 else cfg.dt,
-        record_every=10**9)
+        cfg, dt=min(preset_width / 500.0, cfg.dt) if preset_width > 0 else cfg.dt)
     wf_preset = from_segments(VOLTAGE, [
         (edge, preset_v), (preset_width, preset_v), (edge, 0.0), (settle, 0.0),
     ])
@@ -199,7 +195,7 @@ def switching_kinetics_batch(pb: ParamsBatch, amplitude, widths: Sequence[float]
 
     delta = np.empty((pb.n, len(widths)))
     for j, width in enumerate(widths):
-        wcfg = _kinetics_pulse_cfg(width, cfg)
+        wcfg = replace(cfg, dt=min(max(width / 32.0, 2e-9), cfg.dt))
         wf = from_segments(VOLTAGE, [
             (edge, amplitude), (width, amplitude), (edge, 0.0 * amplitude),
         ], t0=t0)
@@ -264,11 +260,15 @@ def current_program_batch(pb: ParamsBatch, pulse_current: float,
     result does not depend on how long the others took to discharge. A
     StepFailureError names devices by their index in *pb*. If *runs* is a
     list, each transient is appended to it as (device indices,
-    TimeSeries) in the order run.
+    TimeSeries) in the order run, recorded as ``cfg.record_every`` says;
+    without it only each run's final state is read, so every run records
+    its first and last rows only.
     """
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
     cfg = cfg or SolverConfig(dt=PROGRAM_DT)
+    if runs is None:
+        cfg = replace(cfg, record_every=10**9)
     everyone = np.arange(pb.n)
 
     def run(sub, idx, state, wf):

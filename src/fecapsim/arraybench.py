@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Optional, Sequence
 
@@ -84,14 +84,16 @@ def run_array_bench(params: DeviceParams, sizes: Sequence[int],
     of the array instantiation) and the integration. A cell that fails to
     converge counts as a failure and its chunk reruns without it, so
     ``failures`` is the exact number of failing cells. With ``workers > 1``
-    one process pool serves every size.
+    one process pool serves every size. Only each chunk's final row is
+    read, so every chunk records its first and last rows only, whatever
+    ``cfg.record_every`` says.
     """
     import platform
 
     if any(n < 1 for n in sizes):
         raise ValueError("array sizes must be >= 1")
     wf = wf or bench_waveform()
-    cfg = cfg or SolverConfig(dt=2e-7, record_every=10**9)
+    cfg = replace(cfg or SolverConfig(dt=2e-7), record_every=10**9)
     report = BenchReport(
         dt=cfg.dt, chunk=chunk, workers=workers,
         machine=(f"{platform.platform()} | python {platform.python_version()}"

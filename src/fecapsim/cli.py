@@ -21,7 +21,8 @@ from .arraybench import bench_waveform, run_array_bench
 from .montecarlo import McDistribution, McError, ScenarioSpec, run_mc
 from .params import DeviceParams
 from .quasistatic import DcConvergenceError, dc_sweep, small_signal_cv
-from .scenario import Scenario, ScenarioError, emit_scenario, parse_scenario
+from .scenario import (MC_DRIVE_FIELDS, Scenario, ScenarioError, emit_scenario,
+                       parse_scenario)
 from .solver import SolverConfig, StepFailureError, run_transient
 from .units import from_si
 from .waveform import Waveform, triangle
@@ -68,6 +69,8 @@ def _load_scenario(args, kind: str) -> Scenario:
         text = Path(args.scenario).read_text()
     scen = parse_scenario(text, kind=kind)
     if args.dt is not None:
+        if "dt" not in scen.solver:
+            raise _UsageError(f"--dt: kind {kind} integrates no transient")
         scen.solver["dt"] = float(args.dt)
         try:
             SolverConfig(**scen.solver)
@@ -153,17 +156,9 @@ def _run_transient(scen: Scenario, out: Path) -> None:
 
 
 def _mc_spec(scen: Scenario) -> ScenarioSpec:
-    d = scen.drive
     sub = scen.mc.scenario
-    dt = scen.solver.get("dt")
-    if sub == "hysteresis":
-        return ScenarioSpec("hysteresis", amplitude=d["amplitude"],
-                            frequency=d["frequency"], n_cycles=d["cycles"], dt=dt)
-    if sub == "kinetics":
-        return ScenarioSpec("kinetics", amplitude=d["amplitudes"][0],
-                            widths=tuple(d["widths"]), dt=dt)
-    return ScenarioSpec("program", pulse_current=d["current"],
-                        pulse_width=d["width"], n_pulses=d["pulses"], dt=dt)
+    return ScenarioSpec(sub, dt=scen.solver["dt"], **{
+        field: scen.drive[key] for key, field in MC_DRIVE_FIELDS[sub].items()})
 
 
 def _run_mc(scen: Scenario, out: Path, workers: int) -> None:
@@ -180,8 +175,7 @@ def _run_mc(scen: Scenario, out: Path, workers: int) -> None:
 def _run_bench(scen: Scenario, out: Path, workers: int) -> None:
     d = scen.drive
     wf = bench_waveform(d["current"], d["width"], d["t_total"], d["edge"])
-    cfg = replace(scen.solver_config(), record_every=10**9)
-    report = run_array_bench(scen.device, d["sizes"], wf, cfg,
+    report = run_array_bench(scen.device, d["sizes"], wf, scen.solver_config(),
                              chunk=d["chunk"], workers=workers)
     _emit(out / "bench.csv", csvio.bench_csv, report)
     print(f"machine: {report.machine}")

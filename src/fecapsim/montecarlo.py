@@ -23,16 +23,13 @@ import numpy as np
 
 from .analyses import (
     HYSTERESIS_STEPS_PER_PERIOD,
-    KINETICS_DT,
-    PROGRAM_DT,
-    _kinetics_pulse_cfg,
     current_program_batch,
     hysteresis_batch,
     switching_kinetics_batch,
 )
 from .params import DEFAULT_CHUNK, DeviceParams, ParamsBatch
 from .solver import SolverConfig, StepFailureError
-from .waveform import DEFAULT_EDGE, VOLTAGE, from_segments, triangle
+from .waveform import triangle
 
 # Gaussian draws attempted before clamping to the truncation bounds.
 _MAX_REJECTS = 100
@@ -196,22 +193,12 @@ def _outputs_for_batch(spec: ScenarioSpec, pb: ParamsBatch) -> dict:
 
 
 def _record_rows(spec: ScenarioSpec) -> int:
-    """Rows of the longest time-series record one trial of *spec* holds."""
-    cfg = spec.solver_config()
-    if spec.kind == "hysteresis":
-        dt = cfg.dt if cfg else 1.0 / (spec.frequency * HYSTERESIS_STEPS_PER_PERIOD)
-        wf = triangle(spec.amplitude, spec.frequency, spec.n_cycles)
-        return wf.time_grid(dt).size
-
-    def rows(width, dt):  # an edge-width-edge pulse
-        segments = [(DEFAULT_EDGE, 0.0), (width, 0.0), (DEFAULT_EDGE, 0.0)]
-        return from_segments(VOLTAGE, segments).time_grid(dt).size
-
-    if spec.kind == "kinetics":
-        cfg = cfg or SolverConfig(dt=KINETICS_DT)
-        return max((rows(w, _kinetics_pulse_cfg(w, cfg).dt) for w in spec.widths),
-                   default=1)
-    return rows(spec.pulse_width, cfg.dt if cfg else PROGRAM_DT)
+    """Rows of the longest time-series record one trial of *spec* holds; a
+    kinetics or program batch records only each run's first and last rows."""
+    if spec.kind != "hysteresis":
+        return 2
+    dt = spec.dt if spec.dt is not None else 1.0 / (spec.frequency * HYSTERESIS_STEPS_PER_PERIOD)
+    return triangle(spec.amplitude, spec.frequency, spec.n_cycles).time_grid(dt).size
 
 
 def _batch_width(spec: ScenarioSpec) -> int:

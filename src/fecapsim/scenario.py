@@ -3,9 +3,11 @@
 Format: ``[section]`` headers with ``key = value [unit]`` lines; ``#``
 starts a comment. Sections: ``[scenario]`` (kind), ``[device]`` (parameter
 overrides in paper or SI units), ``[drive]`` (per-kind drive spec),
-``[solver]`` (only ``dt`` for kind mc), ``[mc]``, ``[output]``. Unknown
-sections, unknown keys, bad units and out-of-range values are all fatal,
-with line numbers.
+``[solver]``, ``[mc]``, ``[output]``. Unknown sections, unknown keys, bad
+units and out-of-range values are all fatal, with line numbers.
+
+A run accepts only the keys it reads: a Monte-Carlo ``[drive]`` those of
+:data:`MC_DRIVE_FIELDS`, and ``[solver]`` those of :func:`_solver_table`.
 
 Each section has one key table of :class:`_Key` entries (quantity, default,
 type, least bound, allowed strings); one loop, :func:`_section`, parses and
@@ -97,7 +99,7 @@ DEVICE_KEYS = {
     "phi_tr_fe": "voltage", "mu_fe": "mobility", "temperature": "temperature",
 }
 _DEVICE_TABLE = {key: _Key(quantity) for key, quantity in DEVICE_KEYS.items()}
-_DEVICE_FIELDS = {"N_depl": ("N_depl_dn", "N_depl_up")}
+_DEVICE_FIELDS = {key: (key,) for key in DEVICE_KEYS} | {"N_depl": ("N_depl_dn", "N_depl_up")}
 
 # Durations, rates and the C-V probe step must be > 0. A hysteresis run
 # needs a second cycle, since its first is the preset.
@@ -152,7 +154,18 @@ DRIVE_KEYS = {
     },
 }
 
-# Checked as a whole by SolverConfig.
+# Each Monte-Carlo [drive] key and the ScenarioSpec field it sets; a trial
+# runs one kinetics amplitude.
+MC_DRIVE_FIELDS = {
+    "hysteresis": {"amplitude": "amplitude", "frequency": "frequency", "cycles": "n_cycles"},
+    "kinetics": {"amplitudes": "amplitude", "widths": "widths"},
+    "program": {"current": "pulse_current", "width": "pulse_width", "pulses": "n_pulses"},
+}
+_MC_DRIVE_TABLES = {sub: {key: DRIVE_KEYS[sub][key] for key in fields}
+                    for sub, fields in MC_DRIVE_FIELDS.items()}
+_MC_DRIVE_TABLES["kinetics"]["amplitudes"] = _Key("voltage", 1.0)
+
+# Each key is checked on its own by SolverConfig.
 SOLVER_KEYS = {
     "dt": _Key("time"),
     "newton_tol_v": _Key("voltage", 1e-9),
@@ -229,7 +242,7 @@ class Scenario:
 
     @property
     def drive_kind(self) -> str:
-        """The kind whose [drive] keys apply: a Monte-Carlo run's sub-scenario."""
+        """The analysis the drive describes: a Monte-Carlo run's sub-scenario."""
         return self.mc.scenario if self.kind == "mc" else self.kind
 
     def solver_config(self) -> SolverConfig:
@@ -250,18 +263,26 @@ class Scenario:
         return 1e-7
 
 
-def _drive_table(kind: str, mode: Optional[str]) -> dict:
-    """[drive] keys of *kind*; a transient's values are currents unless its
-    mode is voltage."""
-    table = DRIVE_KEYS[kind]
-    if kind == "transient" and mode != "voltage":
+def _drive_table(s: Scenario, mode: Optional[str]) -> dict:
+    """[drive] keys of *s*: those of its Monte-Carlo trial for kind mc; a
+    transient's values are currents unless its mode is voltage."""
+    if s.kind == "mc":
+        return _MC_DRIVE_TABLES[s.mc.scenario]
+    table = DRIVE_KEYS[s.kind]
+    if s.kind == "transient" and mode != "voltage":
         table = {**table, "values": table["values"]._replace(quantity="current")}
     return table
 
 
+# The [solver] keys each kind reads: the DC sweep integrates nothing, and
+# kinetics and the bench set their own record_every.
+_UNRECORDED = tuple(key for key in SOLVER_KEYS if key != "record_every")
+_SOLVER_READS = {"mc": ("dt",), "iv": ("newton_tol_i",),
+                 "kinetics": _UNRECORDED, "bench": _UNRECORDED}
+
+
 def _solver_table(kind: str) -> dict:
-    # A Monte-Carlo run takes only the base step from [solver].
-    return {"dt": SOLVER_KEYS["dt"]} if kind == "mc" else SOLVER_KEYS
+    return {key: SOLVER_KEYS[key] for key in _SOLVER_READS.get(kind, SOLVER_KEYS)}
 
 
 def _defaults(table: dict) -> dict:
@@ -387,14 +408,20 @@ def _read_sections(text: str):
     return sections
 
 
-def _section(sections: dict, name: str, table: dict, where: str = "") -> dict:
+def _section(sections: dict, name: str, table: dict, where: str = "",
+             check=None) -> dict:
     """{key: value} of the keys given in [name], in file order, each parsed
-    and checked against its entry in *table*."""
+    and checked against its entry in *table*, then by ``check(key, value)``."""
     values = {}
     for key, (raw, line) in sections.get(name, {}).items():
         if key not in table:
             raise ScenarioError(f"unknown key '{key}' in [{name}]{where}", line)
-        values[key] = _parse_value(raw, table[key], key, line)
+        values[key] = value = _parse_value(raw, table[key], key, line)
+        try:
+            if check is not None:
+                check(key, value)
+        except ValueError as err:
+            raise ScenarioError(f"{err} (key '{key}')", line) from None
     return values
 
 
@@ -411,26 +438,21 @@ def parse_scenario(text: str, kind: Optional[str] = None) -> Scenario:
     kind = kind or file_kind
     if kind is None:
         raise ScenarioError("scenario kind not specified")
+    kind = _parse_value(kind, SCENARIO_KEYS["kind"], "kind", None)
 
     # [mc] first: for kind mc the drive keys depend on the sub-scenario.
     mc = _section(sections, "mc", _MC_TABLE)
     overrides = tuple((key, mc.pop(key)) for key in MC_OVERRIDE_KEYS if key in mc)
     s = Scenario(kind, mc=McSpec(overrides=overrides, **mc))
 
-    device = {}
-    for key, value in _section(sections, "device", _DEVICE_TABLE).items():
-        fields = dict.fromkeys(_DEVICE_FIELDS.get(key, (key,)), value)
-        try:
-            DeviceParams(**fields)
-        except ValueError as err:
-            raise ScenarioError(f"{err} (key '{key}')", sections["device"][key][1]) from None
-        device.update(fields)
-    s.device = DeviceParams(**device)
+    device = _section(sections, "device", _DEVICE_TABLE, check=lambda k, v:
+                      DeviceParams(**dict.fromkeys(_DEVICE_FIELDS[k], v)))
+    s.device = DeviceParams(**{f: v for k, v in device.items() for f in _DEVICE_FIELDS[k]})
 
     given = sections.get("drive", {})
-    table = _drive_table(s.drive_kind, given.get("mode", ("voltage",))[0])
-    d = s.drive = _defaults(table) | _section(sections, "drive", table,
-                                              f" for kind '{s.drive_kind}'")
+    table = _drive_table(s, given.get("mode", ("voltage",))[0])
+    where = f" for kind '{kind}'" + (f", scenario '{s.mc.scenario}'" if kind == "mc" else "")
+    d = s.drive = _defaults(table) | _section(sections, "drive", table, where)
     if s.drive_kind == "transient":
         if len(d["times"]) != len(d["values"]):
             raise ScenarioError("transient times and values must have equal length")
@@ -446,14 +468,8 @@ def parse_scenario(text: str, kind: Optional[str] = None) -> Scenario:
             f"against {d['width'] + 2 * d['edge']:g} s", given[key][1])
 
     table = _solver_table(kind)
-    s.solver = _defaults(table) | _section(sections, "solver", table)
-    probe = dict(s.solver)
-    if probe["dt"] is None:
-        probe["dt"] = 1.0
-    try:
-        SolverConfig(**probe)
-    except ValueError as err:
-        raise ScenarioError(f"[solver]: {err}") from None
+    s.solver = _defaults(table) | _section(sections, "solver", table, f" for kind '{kind}'",
+                                           lambda k, v: SolverConfig(**{"dt": 1.0, k: v}))
 
     s.out_dir = _section(sections, "output", OUTPUT_KEYS).get("dir")
     return s
@@ -488,7 +504,7 @@ def emit_scenario(s: Scenario) -> str:
     sections = [
         ("scenario", SCENARIO_KEYS, {"kind": s.kind}),
         ("device", _DEVICE_TABLE, asdict(s.device)),
-        ("drive", _drive_table(s.drive_kind, s.drive.get("mode")), s.drive),
+        ("drive", _drive_table(s, s.drive.get("mode")), s.drive),
         ("solver", _solver_table(s.kind), s.solver),
         ("mc", _MC_TABLE, {**asdict(s.mc), **dict(s.mc.overrides)}),
     ]

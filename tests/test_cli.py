@@ -81,6 +81,13 @@ def test_nonfinite_dt_override_exit_1(tmp_path):
         assert "dt" in cp.stderr
     assert not (tmp_path / "hysteresis_loop.csv").exists()
 
+def test_iv_dt_override_exit_1(tmp_path):
+    cp = run_cli("iv", "--dt", "1e-6", "--out", str(tmp_path))
+    assert_clean_usage_error(cp)
+    assert "--dt: kind iv integrates no transient" in cp.stderr
+    assert not (tmp_path / "iv.csv").exists()
+
+
 def test_zero_workers_exit_1(tmp_path):
     cp = run_cli("mc", "--workers", "0", "--out", str(tmp_path))
     assert_clean_usage_error(cp)
@@ -111,6 +118,10 @@ def test_bench_zero_size_exit_1(tmp_path):
     ("transient", "mode = dc"),
     ("kinetics", "widths = us"),
     ("bench", "t_total = 5 us\nwidth = 10 us"),
+    # Keys a Monte-Carlo trial does not read.
+    ("mc", "discharge = false\n[mc]\nscenario = program\ntrials = 2"),
+    ("mc", "preset = 3 V\n[mc]\nscenario = kinetics\ntrials = 2"),
+    ("mc", "amplitudes = 1.5, 3.0\n[mc]\nscenario = kinetics\ntrials = 2"),
 ])
 def test_bad_drive_value_exit_1(tmp_path, kind, drive):
     scen = tmp_path / "scen.cfg"
@@ -119,6 +130,7 @@ def test_bad_drive_value_exit_1(tmp_path, kind, drive):
     assert cp.returncode == 1
     assert cp.stderr.startswith("error: line 2: ")
     assert "Traceback" not in cp.stderr
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("mc", [
@@ -146,6 +158,22 @@ def test_mc_solver_key_other_than_dt_exit_1(tmp_path):
     assert cp.returncode == 1
     assert cp.stderr.startswith("error: line 2: ")
     assert not (tmp_path / "mc_trials.csv").exists()
+
+
+@pytest.mark.parametrize("kind, solver", [
+    ("iv", "max_newton_iters = 3"),
+    ("kinetics", "record_every = 5"),
+    ("bench", "record_every = 5"),
+])
+def test_solver_key_the_run_does_not_read_exit_1(tmp_path, kind, solver):
+    scen = tmp_path / "scen.cfg"
+    scen.write_text(f"[solver]\n{solver}\n[drive]\n"
+                    + ("widths = 1 us\n" if kind == "kinetics" else "")
+                    + ("sizes = 4\nchunk = 4\n" if kind == "bench" else ""))
+    cp = run_cli(kind, "--scenario", str(scen), "--out", str(tmp_path))
+    assert cp.returncode == 1
+    assert cp.stderr.startswith("error: line 2: unknown key")
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_negative_seed_override_exit_1(tmp_path):

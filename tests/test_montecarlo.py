@@ -299,6 +299,8 @@ def test_record_rows_match_the_runs(base, spec, monkeypatch):
     monkeypatch.setattr(analyses, "run_transient_batch", spy)
     montecarlo._outputs_for_batch(spec, ParamsBatch.from_params(base, 1))
     assert montecarlo._record_rows(spec) == max(rows)
+    if spec.kind != "hysteresis":
+        assert max(rows) == 2
 
 
 def test_batch_width_capped_by_record_budget():

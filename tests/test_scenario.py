@@ -12,6 +12,7 @@ from fecapsim.scenario import (
     DEVICE_KEYS,
     DRIVE_KEYS,
     KINDS,
+    MC_DRIVE_FIELDS,
     MC_KEYS,
     MC_OVERRIDE_KEYS,
     OUTPUT_KEYS,
@@ -19,6 +20,8 @@ from fecapsim.scenario import (
     McSpec,
     Scenario,
     ScenarioError,
+    _drive_table,
+    _solver_table,
     emit_scenario,
     parse_scenario,
 )
@@ -166,6 +169,22 @@ def test_default_dt_scales_with_frequency():
 def test_solver_validation_at_parse():
     with pytest.raises(ScenarioError):
         parse_scenario("[solver]\np_init = 2\n", kind="iv")
+    with pytest.raises(ScenarioError, match=r"^line 2: p_init must be in \[0, 1\]"):
+        parse_scenario("[solver]\np_init = 2\n", kind="hysteresis")
+
+
+def test_unknown_kind_argument_rejected():
+    with pytest.raises(ScenarioError, match="kind must be one of .*, got 'bogus'"):
+        parse_scenario("", kind="bogus")
+
+
+def test_mc_drive_table_is_the_trial_spec():
+    for sub, keys in MC_DRIVE_FIELDS.items():
+        s = parse_scenario(f"[mc]\nscenario = {sub}\n", kind="mc")
+        assert list(s.drive) == list(keys)
+        fc.ScenarioSpec(sub, **{f: s.drive[k] for k, f in keys.items()})
+    s = parse_scenario("[mc]\nscenario = kinetics\n[drive]\namplitudes = 2 V\n", kind="mc")
+    assert s.drive["amplitudes"] == 2.0
 
 
 def test_comments_and_blank_lines_ignored():
@@ -199,6 +218,9 @@ def test_readme_lists_every_drive_key():
     assert set(rows) == set(DRIVE_KEYS) | {"mc"}
     for kind, keys in DRIVE_KEYS.items():
         assert rows[kind].split(", ") == list(keys)
+    mc = dict(part.split(": ") for part in rows["mc"].split("; "))
+    assert {sub: keys.split(", ") for sub, keys in mc.items()} == {
+        sub: list(keys) for sub, keys in MC_DRIVE_FIELDS.items()}
 
 
 _FINITE = dict(allow_nan=False, allow_infinity=False)
@@ -248,7 +270,7 @@ def scenarios(draw):
                 overrides=overrides)
     out_dir = draw(st.none() | st.from_regex(r"[A-Za-z0-9_./-]{0,12}", fullmatch=True))
     s = Scenario(kind, device=device, mc=mc, out_dir=out_dir)
-    d = s.drive = {key: draw(_values(spec)) for key, spec in DRIVE_KEYS[s.drive_kind].items()}
+    d = s.drive = {key: draw(_values(spec)) for key, spec in _drive_table(s, None).items()}
     if s.drive_kind == "transient":
         d["times"] = tuple(sorted(draw(st.lists(st.floats(**_FINITE), min_size=1,
                                                 max_size=4, unique=True))))
@@ -258,8 +280,7 @@ def scenarios(draw):
         # bench_waveform's tail, t_total - width - 2 * edge, must be > 0.
         d["t_total"] += d["width"] + 2 * d["edge"]
         assume(math.isfinite(d["t_total"]) and d["t_total"] - d["width"] - 2 * d["edge"] > 0.0)
-    s.solver = {key: draw(values) for key, values in _SOLVER_VALUES.items()
-                if kind != "mc" or key == "dt"}
+    s.solver = {key: draw(_SOLVER_VALUES[key]) for key in _solver_table(kind)}
     return s
 
 
