@@ -34,7 +34,7 @@ class BenchReport:
     ``steps`` is the accepted step count of the first device chunk (the
     per-device integration path; identical parameters make it identical for
     every chunk and every size); ``newton_iters`` is the total Newton
-    iteration count across the whole array.
+    iteration count across the whole array, the runs that raised included.
     """
 
     sizes: list = field(default_factory=list)
@@ -106,11 +106,12 @@ def run_array_bench(params: DeviceParams, sizes: Sequence[int],
             chunks = list(_map_chunks(pool, run, params, mc, _chunk_bounds(n, chunk)))
             stats = SolveStats()
             covered = 0
-            for got, live, _ in chunks:
+            for got, live, _, failed in chunks:
                 if got is not None:
                     stats.merge(got[0])
+                stats.merge(failed)
                 covered += live.size
-            first, live0, _ = chunks[0]
+            first, live0, _, _ = chunks[0]
             ok = first is not None and live0[0] == 0
             wall = time.perf_counter() - t0
             report.sizes.append(int(n))

@@ -27,8 +27,8 @@ from .analyses import (
     hysteresis_batch,
     switching_kinetics_batch,
 )
-from .params import DEFAULT_CHUNK, DeviceParams, ParamsBatch
-from .solver import SolverConfig, StepFailureError
+from .params import DEFAULT_CHUNK, PARAM_FIELDS, DeviceParams, ParamsBatch, check_fields
+from .solver import SolveStats, SolverConfig, StepFailureError
 from .waveform import triangle
 
 # Gaussian draws attempted before clamping to the truncation bounds.
@@ -103,6 +103,34 @@ class McDistribution:
         return cls(entries=tuple(entries), temperature=358.15)
 
 
+def _truncated_normal(e: ParamDist, rng: np.random.Generator) -> float:
+    """One draw of entry *e*: Gaussian draws outside [lower, upper] are
+    rejected and redrawn up to 100 times, then clamped; sigma = 0 gives the
+    mean without consuming the RNG."""
+    if e.sigma == 0.0:
+        return e.mean
+    for _ in range(_MAX_REJECTS):
+        x = rng.normal(e.mean, e.sigma)
+        if e.lower <= x <= e.upper:
+            break
+    return min(max(x, e.lower), e.upper)
+
+
+def _field_values(dist: McDistribution, draws) -> dict:
+    """DeviceParams field -> value of one draw per distribution entry, in
+    entry order (scalars or per-device columns): ``N_depl`` sets both
+    depletion densities, and the table's temperature applies last."""
+    values = {}
+    for e, x in zip(dist.entries, draws):
+        if e.name == "N_depl":
+            values["N_depl_dn"] = values["N_depl_up"] = x
+        else:
+            values[e.name] = x
+    if dist.temperature is not None:
+        values["temperature"] = dist.temperature
+    return values
+
+
 def sample_params(base: DeviceParams, dist: McDistribution,
                   rng: np.random.Generator) -> DeviceParams:
     """One parameter draw: independent truncated Gaussians over *base*.
@@ -110,27 +138,24 @@ def sample_params(base: DeviceParams, dist: McDistribution,
     Out-of-bounds draws are rejected and redrawn up to 100 times, then
     clamped; sigma = 0 entries take their mean without consuming the RNG.
     """
-    drawn = {}
-    for e in dist.entries:
-        if e.sigma == 0.0:
-            drawn[e.name] = e.mean
-            continue
-        x = e.lower - 1.0
-        for _ in range(_MAX_REJECTS):
-            x = rng.normal(e.mean, e.sigma)
-            if e.lower <= x <= e.upper:
-                break
-        drawn[e.name] = min(max(x, e.lower), e.upper)
-    # One construction: DeviceParams validates every field on each copy.
-    values = {}
-    for name, x in drawn.items():
-        if name == "N_depl":
-            values["N_depl_dn"] = values["N_depl_up"] = x
-        else:
-            values[name] = x
-    if dist.temperature is not None:
-        values["temperature"] = dist.temperature
-    return replace(base, **values)
+    return replace(base, **_field_values(dist, [_truncated_normal(e, rng)
+                                                for e in dist.entries]))
+
+
+def _draw_batch(base: DeviceParams, dist: McDistribution, rngs) -> ParamsBatch:
+    """One :func:`sample_params` draw per generator in *rngs*, as one batch.
+
+    Each generator makes the same draws in the same order as
+    ``sample_params``, so device i equals ``sample_params(base, dist,
+    rngs[i])``; the drawn columns are checked once, with the error
+    ``DeviceParams`` gives.
+    """
+    draws = np.array([[_truncated_normal(e, rng) for e in dist.entries] for rng in rngs],
+                     dtype=np.float64).reshape(len(rngs), len(dist.entries))
+    values = _field_values(dist, draws.T.copy())
+    check_fields(values)
+    return ParamsBatch(len(rngs), **{name: values.get(name, getattr(base, name))
+                                     for name in PARAM_FIELDS})
 
 
 def _trial_rngs(seed: int, start: int, stop: int):
@@ -217,24 +242,25 @@ def _run_chunk(run: Callable, base: DeviceParams, mc: Optional[tuple],
     independent, so the others keep their bits, and k failing devices cost
     at most 1 + k runs. An error that names no device fails every device
     left. Returns (the last run's result or None, the local indices of the
-    devices it covers, the drawn value of each distribution entry).
+    devices it covers, the drawn value of each distribution entry, the
+    merged :class:`SolveStats` of the runs that raised).
     """
     if mc is None:
         pb, drawn = ParamsBatch.from_params(base, stop - start), {}
     else:
         dist, seed = mc
-        pb = ParamsBatch.from_list(sample_params(base, dist, rng)
-                                   for rng in _trial_rngs(seed, start, stop))
+        pb = _draw_batch(base, dist, _trial_rngs(seed, start, stop))
         drawn = {e.name: getattr(pb, "N_depl_dn" if e.name == "N_depl" else e.name)
                  for e in dist.entries}
-    live, batch = np.arange(pb.n), pb
+    live, batch, failed = np.arange(pb.n), pb, SolveStats()
     while True:
         try:
-            return run(batch), live, drawn
+            return run(batch), live, drawn, failed
         except StepFailureError as err:
+            failed.merge(err.stats)
             live = np.delete(live, err.device_indices) if err.device_indices else live[:0]
         if live.size == 0:
-            return None, live, drawn
+            return None, live, drawn, failed
         batch = pb.slice(live)
 
 
@@ -302,7 +328,7 @@ def run_mc(spec: ScenarioSpec, base: DeviceParams, dist: McDistribution,
     with _pool(workers) as pool:
         chunks = _map_chunks(pool, partial(_outputs_for_batch, spec), base,
                              (dist, seed), bounds)
-        for (a, b), (got, live, drawn) in zip(bounds, chunks):
+        for (a, b), (got, live, drawn, _) in zip(bounds, chunks):
             for k, v in (got or {}).items():
                 if k not in outputs:
                     outputs[k] = np.full((n_trials,) + v.shape[1:], np.nan)

@@ -52,18 +52,7 @@ class DeviceParams:
     temperature: float = 294.15    # ambient temperature, K (21 degC)
 
     def __post_init__(self):
-        positive = (
-            "area", "t_fe", "t_int", "eps_fe", "eps_int", "eps_depl",
-            "W_b", "d_e", "P_s", "N_depl_dn", "N_depl_up", "N_fe",
-            "m_eff_int", "phi_b_int", "phi_tr_fe", "mu_fe", "temperature",
-        )
-        for name in positive:
-            v = getattr(self, name)
-            if not np.isfinite(v) or v <= 0.0:
-                raise ValueError(f"DeviceParams.{name} must be finite and > 0, got {v}")
-        for name in ("E_off", "Q_fix_depl"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"DeviceParams.{name} must be finite")
+        check_fields({name: getattr(self, name) for name in PARAM_FIELDS})
 
     def with_n_depl(self, n_depl: float) -> "DeviceParams":
         """Copy with both depletion densities set to *n_depl* (1/m^3)."""
@@ -74,6 +63,38 @@ class DeviceParams:
 
 
 PARAM_FIELDS = tuple(f.name for f in fields(DeviceParams))
+# Fields that must be finite and > 0, in the order they are checked; the
+# others need only be finite and are checked after them.
+_POSITIVE = (
+    "area", "t_fe", "t_int", "eps_fe", "eps_int", "eps_depl",
+    "W_b", "d_e", "P_s", "N_depl_dn", "N_depl_up", "N_fe",
+    "m_eff_int", "phi_b_int", "phi_tr_fe", "mu_fe", "temperature",
+)
+_CHECK_ORDER = _POSITIVE + tuple(name for name in PARAM_FIELDS if name not in _POSITIVE)
+
+
+def check_fields(values: dict) -> None:
+    """Raise ValueError unless every value in *values* is valid for its field.
+
+    *values* maps DeviceParams field names to a scalar or to one value per
+    device. Fields are checked in a fixed order; the error names the first
+    invalid field and its first invalid value, in the text DeviceParams
+    gives for it.
+    """
+    for name in _CHECK_ORDER:
+        if name not in values:
+            continue
+        v = values[name]
+        a = np.asarray(v, dtype=np.float64)
+        bad = ~np.isfinite(a)
+        if name not in _POSITIVE:
+            if bad.any():
+                raise ValueError(f"DeviceParams.{name} must be finite")
+            continue
+        bad |= a <= 0.0
+        if bad.any():
+            got = v if a.ndim == 0 else a[bad][0]
+            raise ValueError(f"DeviceParams.{name} must be finite and > 0, got {got}")
 
 
 class ParamsBatch:

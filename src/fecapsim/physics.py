@@ -16,10 +16,17 @@ Numerical guards used throughout:
 - exponentials are evaluated as ``exp(clip(arg, -700, 700))`` so extreme
   fields clamp to rates/currents beyond any resolvable timescale instead of
   overflowing (for the transition rates the prefactor is folded into the
-  exponent before clamping, which keeps the result finite);
+  exponent before clamping, which keeps the result finite); the
+  Fowler-Nordheim exponent is never positive, so it is clipped from below
+  only;
 - the per-direction depletion-capacitance denominator is floored in
   magnitude at ``DENOM_MIN`` to avoid the singularity where the field term
   cancels the fixed charge.
+
+The methods the solver's step evaluates on every Newton iterate
+(``p_next``, ``phi``, ``j_pf``, ``j_fn``) call no helper functions beyond
+the formula methods they build on (``rates``, ``c_depl``) and build no
+named tuples.
 
 Operand shapes: the solver evaluates the :class:`Coeffs` methods on arrays
 shaped like its trial points, with every field repeated to that shape, and
@@ -54,6 +61,8 @@ _ZERO = np.array(0.0)
 _ONE = np.array(1.0)
 _TWO = np.array(2.0)
 _NEG_TWO = np.array(-2.0)
+# ndarray.all without its Python-level wrapper.
+_all = np.logical_and.reduce
 
 
 class TransitionRates(NamedTuple):
@@ -76,22 +85,13 @@ def _guarded_exp(x):
     return np.exp(_clamp(x, _EXP_LO, _EXP_HI))
 
 
-def _check_field(e_fe):
-    if not np.isfinite(e_fe).all():
-        raise ValueError("transition_rates: non-finite field")
-
-
-def _relax(p, p_eq, s, dt):
-    return _clamp(p_eq + (p - p_eq) * np.exp(-s * dt), _ZERO, _ONE)
-
-
 def transition_rates(e_fe, params) -> TransitionRates:
     """Switching attempt rates at ferroelectric field *e_fe* (V/m).
 
     k_down/up = (k_B T / h) * exp((-W_b +/- W_e) / (k_B T)), with the
     prefactor folded into the clamped exponent so both rates stay finite.
     """
-    return Coeffs.of(params).rates(np.asarray(e_fe, dtype=np.float64))
+    return TransitionRates(*Coeffs.of(params).rates(np.asarray(e_fe, dtype=np.float64)))
 
 
 def p_steady_state(e_fe, params):
@@ -116,7 +116,7 @@ def p_step(p, rates: TransitionRates, dt):
     s = k_down + k_up
     p = np.asarray(p, dtype=np.float64)
     p_eq = np.where(s > 0.0, k_down / np.where(s > 0.0, s, 1.0), p)
-    return _relax(p, p_eq, s, dt)
+    return _clamp(p_eq + (p - p_eq) * np.exp(-s * dt), _ZERO, _ONE)
 
 
 def polarization(p, params, out=None):
@@ -147,8 +147,9 @@ def c_depl_branches(e_fe, params):
     absolute: eps0*eps_depl*q*N / |eps0*eps_fe*E_fe +/- Q_fix|, "+" on the
     down branch. The denominator magnitude is floored at DENOM_MIN.
     """
-    return Coeffs.of(params).depl_branches(
-        EPS_0 * params.eps_fe * np.asarray(e_fe, dtype=np.float64))
+    q_disp = EPS_0 * params.eps_fe * np.asarray(e_fe, dtype=np.float64)
+    k = Coeffs.of(params)
+    return k.c_depl(_ONE, q_disp), k.c_depl(_ZERO, q_disp)
 
 
 def c_depl(p, e_fe, params):
@@ -214,7 +215,7 @@ class Coeffs(NamedTuple):
     pf_barrier: np.ndarray   # q*phi_tr/(k_B T)
     pf_lowering: np.ndarray  # q/(k_B T)*sqrt(q/(pi*eps0*eps_fe)), per sqrt(V/m)
     fn_pre: np.ndarray       # Fowler-Nordheim prefactor, A/V^2
-    fn_b: np.ndarray         # Fowler-Nordheim exponent constant, V/m
+    fn_neg_b: np.ndarray     # Fowler-Nordheim exponent constant, negated, V/m
     depl_dn: np.ndarray     # depletion numerators eps0*eps_depl*q*N, per branch
     depl_up: np.ndarray
 
@@ -229,7 +230,7 @@ class Coeffs(NamedTuple):
             Q_E * params.mu_fe * params.N_fe, Q_E * params.phi_tr_fe / kt,
             Q_E / kt * np.sqrt(Q_E / (np.pi * EPS_0 * params.eps_fe)),
             Q_E * Q_E / (8.0 * np.pi * H_PLANCK * params.phi_b_int),
-            8.0 * np.pi * np.sqrt(2.0 * M_0 * params.m_eff_int)
+            -8.0 * np.pi * np.sqrt(2.0 * M_0 * params.m_eff_int)
             * (Q_E * params.phi_b_int) ** 1.5 / (3.0 * H_PLANCK * Q_E),
             EPS_0 * params.eps_depl * Q_E * params.N_depl_dn,
             EPS_0 * params.eps_depl * Q_E * params.N_depl_up,
@@ -240,16 +241,17 @@ class Coeffs(NamedTuple):
         last (device) axis."""
         return self._make(a[..., idx] for a in self)
 
-    def rates(self, e_fe) -> TransitionRates:
-        """``transition_rates`` at field *e_fe*.
+    def rates(self, e_fe):
+        """``transition_rates`` at field *e_fe*, as a (k_down, k_up) pair.
 
         The slope times (E_fe - E_off) is the field-induced barrier
         modulation W_e = q*(E_fe - E_off)*d_e in units of k_B T.
         """
-        _check_field(e_fe)
+        if not _all(np.isfinite(e_fe), axis=None):
+            raise ValueError("transition_rates: non-finite field")
         x = self.rate_slope * (e_fe - self.E_off)
-        return TransitionRates(_guarded_exp(self.rate_offset + x),
-                               _guarded_exp(self.rate_offset - x))
+        return (np.exp(np.minimum(np.maximum(self.rate_offset + x, _EXP_LO), _EXP_HI)),
+                np.exp(np.minimum(np.maximum(self.rate_offset - x, _EXP_LO), _EXP_HI)))
 
     def p_next(self, p, e_fe, dt):
         """Up-state probability after *dt* from *p* at field *e_fe*.
@@ -259,23 +261,21 @@ class Coeffs(NamedTuple):
         """
         k_down, k_up = self.rates(e_fe)
         s = k_down + k_up
-        return _relax(p, k_down / s, s, dt)
+        p_eq = k_down / s
+        return np.minimum(np.maximum(p_eq + (p - p_eq) * np.exp(-s * dt), _ZERO), _ONE)
 
     def p_steady(self, e_fe):
         """``p_steady_state`` at field *e_fe*."""
         x = self.rate_slope * (e_fe - self.E_off)
         return _ONE / (_ONE + _guarded_exp(_NEG_TWO * x))
 
-    def depl_branches(self, q_disp):
-        """``c_depl_branches`` at displacement charge *q_disp* = eps0*eps_fe*E_fe,
-        C/m^2."""
-        return (self.depl_dn / np.maximum(np.abs(q_disp + self.Q_fix_depl), _DENOM_MIN),
-                self.depl_up / np.maximum(np.abs(q_disp - self.Q_fix_depl), _DENOM_MIN))
-
     def c_depl(self, p, q_disp):
-        """``c_depl`` at state *p* and displacement charge *q_disp*."""
-        c_dn, c_up = self.depl_branches(q_disp)
-        return p * c_dn + (_ONE - p) * c_up
+        """``c_depl`` at state *p* and displacement charge *q_disp* =
+        eps0*eps_fe*E_fe, C/m^2; p = 1 and p = 0 give the two branches of
+        ``c_depl_branches`` exactly."""
+        return (p * (self.depl_dn / np.maximum(np.abs(q_disp + self.Q_fix_depl), _DENOM_MIN))
+                + (_ONE - p) * (self.depl_up
+                                / np.maximum(np.abs(q_disp - self.Q_fix_depl), _DENOM_MIN)))
 
     def phi(self, p, cv_fe, q_disp=None):
         """``phi_depl`` at state *p* and ferroelectric charge *cv_fe* = C_fe*V_fe.
@@ -290,12 +290,13 @@ class Coeffs(NamedTuple):
     def j_pf(self, e_fe):
         """``j_pf`` at field *e_fe*."""
         # sign(e)*|e| == e exactly.
-        return self.pf_pre * e_fe * _guarded_exp(
-            self.pf_lowering * np.sqrt(np.abs(e_fe)) - self.pf_barrier)
+        return self.pf_pre * e_fe * np.exp(np.minimum(np.maximum(
+            self.pf_lowering * np.sqrt(np.abs(e_fe)) - self.pf_barrier, _EXP_LO), _EXP_HI))
 
     def j_fn(self, e_int):
         """``j_fn`` at field *e_int*."""
-        # sign(e)*|e|*|e| == e*|e| exactly.
+        # sign(e)*|e|*|e| == e*|e| exactly. fn_b > 0, so the exponent is
+        # never positive and only the lower clamp can bind.
         e_abs = np.abs(e_int)
-        return self.fn_pre * e_int * e_abs * _guarded_exp(
-            -self.fn_b / np.maximum(e_abs, _FIELD_MIN))
+        return self.fn_pre * e_int * e_abs * np.exp(np.maximum(
+            self.fn_neg_b / np.maximum(e_abs, _FIELD_MIN), _EXP_LO))

@@ -18,7 +18,7 @@ from .params import DeviceParams
 # The solves below evaluate these formulas through Coeffs; the public functions
 # stay bound here because perfbench/tracing.py wraps the physics calls at these names.
 from .physics import Coeffs, c_layer, j_fn, j_pf, p_steady_state, phi_depl  # noqa: F401
-from .solver import _TOL_I_REF, _TOL_I_REF_AREA, SolverConfig, _root, run_transient
+from .solver import _QUIET, _TOL_I_REF, _TOL_I_REF_AREA, SolverConfig, _root, run_transient
 from .waveform import Waveform
 
 # Tolerance (V) on the Newton correction of the DC and C-V solves, and on
@@ -66,6 +66,7 @@ def _solve_bias(bias: float, k: Coeffs, guess_v_fe: float,
     return v_fe, float(_dc_vint(v_fe, bias, k))
 
 
+@_QUIET
 def dc_sweep(params: DeviceParams, v_start: float, v_stop: float,
              n_points: int, newton_tol_i: Optional[float] = None):
     """Static I-V sweep; returns a list of (bias V, terminal current A).
@@ -92,6 +93,7 @@ def dc_sweep(params: DeviceParams, v_start: float, v_stop: float,
     return out
 
 
+@_QUIET
 def small_signal_cv(params: DeviceParams, bias_waveform: Waveform,
                     delta_v: float = 10e-3,
                     cfg: Optional[SolverConfig] = None):

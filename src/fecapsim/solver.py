@@ -32,9 +32,15 @@ that broadcasts operands of different shapes costs about twice one on
 operands of the same shape (see :mod:`~fecapsim.physics`). So every ufunc of
 the step's hot loop takes same-shape or 0-d operands: a run repeats its
 ``Coeffs`` over the two trial rows of :func:`_root` (iterate and probe),
-each step repeats its previous state and its drive value over them, and
-the scalar constants are 0-d arrays. A run interpolates the drive at every
-base step in one vectorized call before stepping.
+each step repeats over them its drive value and the three state fields the
+residual reads (p, V_fe, V_int), and the scalar constants are 0-d arrays.
+The work per Newton iterate is kept to what the iterate needs: the residual
+(:func:`_make_residual`) returns the KCL mismatch and the branch quantities
+of the record row, and :func:`_row` forms V_appl or V_int, the terminal
+current and the loop residual once per accepted step. Per run, not per
+step or root-find, a run interpolates the drive at every base step in one
+vectorized call, fixes each device's KCL tolerance and silences numpy's
+divide/invalid warnings (:data:`_QUIET`).
 
 A converged step yields one row of the record: its fields are named after
 the :class:`TimeSeries` columns, and its first four are the next step's
@@ -54,7 +60,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .params import DeviceParams, ParamsBatch
-from .physics import _ONE, _TWO, _ZERO, Coeffs, _clamp
+from .physics import _ONE, _TWO, _ZERO, Coeffs, _all, _clamp
 # The step evaluates these formulas through Coeffs; the public functions stay
 # bound here because perfbench/tracing.py wraps the physics calls at these names.
 from .physics import (  # noqa: F401
@@ -77,7 +83,11 @@ _MIN_NEWTON_STEP = np.array(-50.0)
 # Relative forward-difference offset of the slope probe.
 _FD_RELATIVE = np.array(1e-7)
 _HALF = np.array(0.5)
+_NAN = np.array(np.nan)
 _THREE = np.array(3.0)
+# Floating-point error state of every run that calls _root: a flat or
+# non-finite Newton slope is expected and handled there.
+_QUIET = np.errstate(divide="ignore", invalid="ignore")
 # Tolerance (V) and iteration budget of the t = 0 split.
 _SPLIT_TOL_V = 1e-12
 _SPLIT_MAX_ITERS = 100
@@ -136,15 +146,19 @@ class DeviceState:
 
 
 class StepFailureError(RuntimeError):
-    """Newton failed to converge after all step halvings."""
+    """Newton failed to converge after all step halvings.
+
+    ``stats`` holds the solver work of the failed run up to the failure.
+    """
 
     def __init__(self, t: float, dt: float, loop_residual: float, kcl_residual: float,
-                 device_indices=()):
+                 device_indices=(), stats: Optional["SolveStats"] = None):
         self.t = float(t)
         self.dt = float(dt)
         self.loop_residual = float(loop_residual)
         self.kcl_residual = float(kcl_residual)
         self.device_indices = tuple(int(i) for i in device_indices)
+        self.stats = stats if stats is not None else SolveStats()
         msg = (f"step to t={t:.6e} s failed at dt={dt:.3e} s "
                f"(|loop|={loop_residual:.3e} V, |KCL|={kcl_residual:.3e} A")
         if self.device_indices:
@@ -154,7 +168,7 @@ class StepFailureError(RuntimeError):
     def __reduce__(self):
         # Rebuilt from the fields, so the error survives a worker process.
         return (type(self), (self.t, self.dt, self.loop_residual, self.kcl_residual,
-                             self.device_indices))
+                             self.device_indices, self.stats))
 
 
 @dataclass
@@ -281,48 +295,61 @@ def _root(fun, x0: np.ndarray, tol_f, tol_x, max_iters: int):
     array of the tuple aux shaped like the trials. A device converges once
     |f| <= tol_f and its Newton correction |f/f'| <= tol_x, and is frozen
     from then on. Each device keeps a sign bracket of the points it has
-    seen; a Newton step that leaves the bracket bisects it instead. Every
-    array here is (n,) and every constant 0-d, so rules select with
-    ``np.where`` rather than by boolean indexing.
+    seen; a Newton step that leaves the bracket bisects it instead. One
+    point gives at most one side, so the bracket is built from the second
+    iteration on, when it can first hold both. Every array here is (n,)
+    and every constant 0-d, so rules select with ``np.copyto(..., where=)``
+    rather than by boolean indexing. *x0* is never written to; the result
+    may be *x0* itself.
+
+    A flat or non-finite slope divides by zero: callers run under
+    :data:`_QUIET`, once per run rather than once per root-find.
 
     Returns (x, f, converged mask, iterations, aux at x).
     """
-    x = np.array(x0, dtype=np.float64)
-    x_neg = np.full_like(x, np.nan)
-    x_pos = np.full_like(x, np.nan)
+    x = np.asarray(x0, dtype=np.float64)
     tol_f, tol_x = np.asarray(tol_f), np.asarray(tol_x)
     iters = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while True:
-            h = _FD_RELATIVE * np.maximum(np.abs(x), _ONE)
-            f2, aux = fun(np.array((x, x + h)))
-            f = f2[0]
-            dx = f * h / (f - f2[1])
-            dx = np.where(np.isfinite(dx), dx, _ZERO)
-            conv = (np.abs(f) <= tol_f) & (np.abs(dx) <= tol_x)
-            if iters == max_iters or conv.all():
-                return x, f, conv, iters, tuple(a[0] for a in aux)
-            iters += 1
-            x_neg = np.where(f < _ZERO, x, x_neg)
-            x_pos = np.where(f > _ZERO, x, x_pos)
-            x_new = x + _clamp(dx, _MIN_NEWTON_STEP, _MAX_NEWTON_STEP)
+    while True:
+        h = _FD_RELATIVE * np.maximum(np.abs(x), _ONE)
+        f2, aux = fun(np.array((x, x + h)))
+        f = f2[0]
+        dx = f * h / (f - f2[1])
+        np.copyto(dx, _ZERO, where=~np.isfinite(dx))
+        conv = (np.abs(f) <= tol_f) & (np.abs(dx) <= tol_x)
+        if iters == max_iters or _all(conv):
+            return x, f, conv, iters, [a[0] for a in aux]
+        x_new = x + _clamp(dx, _MIN_NEWTON_STEP, _MAX_NEWTON_STEP)
+        if iters == 0:
+            start = x, f
+        else:
+            if iters == 1:
+                x_neg = np.where(start[1] < _ZERO, start[0], _NAN)
+                x_pos = np.where(start[1] > _ZERO, start[0], _NAN)
+            np.copyto(x_neg, x, where=f < _ZERO)
+            np.copyto(x_pos, x, where=f > _ZERO)
             # Strictly inside the bracket the product is negative; it is NaN,
             # so no bisection, until both sides of the root are known.
-            bisect = (x_new - x_neg) * (x_new - x_pos) >= _ZERO
-            x_new = np.where(bisect, _HALF * (x_neg + x_pos), x_new)
-            x = np.where(conv, x, x_new)
+            np.copyto(x_new, _HALF * (x_neg + x_pos),
+                      where=(x_new - x_neg) * (x_new - x_pos) >= _ZERO)
+        np.copyto(x_new, x, where=conv)
+        x = x_new
+        iters += 1
 
 
-def _make_step(k: Coeffs, prev: _State, dt: float):
-    """Branch quantities of the implicit step from *prev*; returns (at, interface).
+def _make_residual(k: Coeffs, prev: _State, dt: float):
+    """The implicit step from *prev*; returns (residual, interface).
 
-    ``at`` takes V_fe and V_int (V_appl then follows from the loop), V_fe
-    and V_appl (V_int follows from the loop), or all three (the loop
-    residual is whatever the trial leaves). ``interface`` gives (j_fn,
-    interface branch current density) at a trial V_int; ``at`` takes that
-    pair as *iface* when V_int is fixed. Any array may carry a leading
-    trial axis in front of the device axis; the solver gives the trials,
-    *prev* and the fields of *k* one shape, (2, n).
+    ``residual`` is the one formula path of the step. It takes V_fe and
+    either V_int (V_appl then follows from the loop) or V_appl (V_int
+    follows from the loop); *iface*, the (j_fn, interface current density)
+    pair that ``interface`` gives at a trial V_int, stands in for the
+    interface branch when V_int is fixed. It returns the internal-node KCL
+    mismatch, A, and the tuple (p, v_int, phi_depl, j_pf, j_fn, j_int,
+    j_pol) from which :func:`_row` builds a record row. Any array may carry
+    a leading trial axis in front of the device axis; the solver gives the
+    trials, *prev* and the fields of *k* one shape, (2, n). Only ``p``,
+    ``v_fe`` and ``v_int`` of *prev* are read.
     """
     inv_dt = _ONE / dt
     c_fe_dt = k.c_fe * inv_dt
@@ -333,41 +360,72 @@ def _make_step(k: Coeffs, prev: _State, dt: float):
         jfn = k.j_fn(v_int * k.inv_t_int)
         return jfn, c_int_dt * (v_int - prev.v_int) + jfn
 
-    def at(v_fe, v_int=None, v_app=None, iface=None) -> _StepAux:
+    def residual(v_fe, v_int=None, v_app=None, iface=None):
         e_fe = v_fe * k.inv_t_fe
         p_n = k.p_next(prev.p, e_fe, dt)
         cv_fe = k.c_fe * v_fe
         phi = k.phi(p_n, cv_fe)
         if v_int is None:
             v_int = v_app - v_fe - phi
-        if v_app is None:
-            v_app = v_fe + v_int + phi
         jpf = k.j_pf(e_fe)
         jfn, j_int = interface(v_int) if iface is None else iface
         j_pol = pol_dt * (p_n - prev.p)
         j_fe = c_fe_dt * (v_fe - prev.v_fe) + j_pol + jpf
-        r_loop = v_app - v_fe - v_int - phi
-        return _StepAux(p_n, v_fe, v_int, v_app, k.area * j_int, phi, jpf, jfn, j_pol,
-                        r_loop, k.area * (j_fe - j_int))
+        return k.area * (j_fe - j_int), (p_n, v_int, phi, jpf, jfn, j_int, j_pol)
+
+    return residual, interface
+
+
+def _make_step(k: Coeffs, prev: _State, dt: float):
+    """:func:`_make_residual` with each evaluation turned into its record row;
+    returns (at, interface).
+
+    ``at(v_fe, v_int, v_app, iface)`` gives the :class:`_StepAux` of a
+    trial; it may also take V_int and V_appl both, and the loop residual is
+    then whatever the trial leaves.
+    """
+    residual, interface = _make_residual(k, prev, dt)
+
+    def at(v_fe, v_int=None, v_app=None, iface=None) -> _StepAux:
+        return _row(k.area, v_fe, v_app, *residual(v_fe, v_int, v_app, iface))
 
     return at, interface
 
 
+def _row(area, v_fe, v_app, kcl, aux) -> _StepAux:
+    """Record row of a step solved at *v_fe*, from the (*kcl*, *aux*) that
+    :func:`_make_residual`'s ``residual`` returned there; *v_app* is None
+    when the loop gives it."""
+    p_n, v_int, phi, jpf, jfn, j_int, j_pol = aux
+    if v_app is None:
+        v_app = v_fe + v_int + phi
+    return _StepAux(p_n, v_fe, v_int, v_app, area * j_int, phi, jpf, jfn, j_pol,
+                    v_app - v_fe - v_int - phi, kcl)
+
+
+def _tol_i(cfg: SolverConfig, area: np.ndarray) -> np.ndarray:
+    """Per-device KCL tolerance, A: ``newton_tol_i``, or by default 1e-12 A
+    scaled by device area / 25 um^2."""
+    if cfg.newton_tol_i is not None:
+        return np.full(area.shape, cfg.newton_tol_i)
+    return _TOL_I_REF * area / _TOL_I_REF_AREA
+
+
 def _solve_step(k: Coeffs, st: _State, dt: float, drive_end: np.ndarray,
-                mode: str, cfg: SolverConfig, guess=None):
+                mode: str, cfg: SolverConfig, tol_i: np.ndarray, guess=None):
     """One implicit step as scalar root-finds.
 
-    Returns (aux, conv, Newton iterations, residual evaluations).
+    Returns (row, conv, Newton iterations, residual evaluations).
     Under current drive V_int is solved first, from the interface branch
     alone carrying the drive current; V_fe then balances the internal-node
     KCL in both modes. The root-finds start from *guess*, a (V_fe, V_int)
     pair, or from the previous state when it is None. *k* and *drive_end*
-    are repeated over the trial rows, shape (2, n); *st* is per device.
+    are repeated over the trial rows, shape (2, n); *st* and the KCL
+    tolerance *tol_i* are per device.
     """
-    tol_i = (cfg.newton_tol_i if cfg.newton_tol_i is not None
-             else _TOL_I_REF * k.area[0] / _TOL_I_REF_AREA)
     v_fe0, v_int0 = (st.v_fe, st.v_int) if guess is None else guess
-    at, interface = _make_step(k, st._make(map(_rows, st)), dt)
+    residual, interface = _make_residual(
+        k, _State(_rows(st.p), _rows(st.v_fe), _rows(st.v_int), None), dt)
     v_int, v_app, iface = None, drive_end, None
     conv, iters = True, 0
     if mode == CURRENT:
@@ -379,13 +437,11 @@ def _solve_step(k: Coeffs, st: _State, dt: float, drive_end: np.ndarray,
                                              cfg.newton_tol_v, cfg.max_newton_iters)
         v_int, iface, v_app = _rows(v_int), tuple(map(_rows, iface)), None
 
-    def kcl(v_fe):
-        aux = at(v_fe, v_int, v_app, iface)
-        return aux.kcl_residual, aux
-
-    _, _, conv_fe, iters_fe, aux = _root(kcl, v_fe0, tol_i, cfg.newton_tol_v,
-                                         cfg.max_newton_iters)
-    return _StepAux(*aux), conv & conv_fe, iters + iters_fe, iters_fe + 1
+    v_fe, kcl, conv_fe, iters_fe, aux = _root(
+        lambda v: residual(v, v_int, v_app, iface), v_fe0, tol_i, cfg.newton_tol_v,
+        cfg.max_newton_iters)
+    row = _row(k.area[0], v_fe, None if v_app is None else v_app[0], kcl, aux)
+    return row, conv & conv_fe, iters + iters_fe, iters_fe + 1
 
 
 def _initial_state(k: Coeffs, v_app0: np.ndarray, p_init, t0: float) -> _State:
@@ -412,17 +468,18 @@ def _initial_state(k: Coeffs, v_app0: np.ndarray, p_init, t0: float) -> _State:
 
 
 def _advance(k: Coeffs, st: _State, t0: float, dt, drive_end: np.ndarray, drive_at,
-             mode: str, cfg: SolverConfig, depth: int, stats: SolveStats,
-             cols: np.ndarray, guess=None):
+             mode: str, cfg: SolverConfig, tol_i: np.ndarray, depth: int,
+             stats: SolveStats, cols: np.ndarray, guess=None):
     """Advance every device by exactly *dt*, halving locally on failure.
 
     Returns the converged step's :class:`_StepAux`. *k* and *drive_end*,
-    the drive at t0 + dt, are repeated over the trial rows, shape (2, n).
-    *guess* is the predicted start of the step's root-finds (see
-    :func:`_predict`); the halves of a failed step start from their
-    previous state and take their drive from ``drive_at(t, cols)``.
+    the drive at t0 + dt, are repeated over the trial rows, shape (2, n);
+    *tol_i* is per device. *guess* is the predicted start of the step's
+    root-finds (see :func:`_predict`); the halves of a failed step start
+    from their previous state and take their drive from
+    ``drive_at(t, cols)``.
     """
-    aux, conv, iters, evals = _solve_step(k, st, dt, drive_end, mode, cfg, guess)
+    aux, conv, iters, evals = _solve_step(k, st, dt, drive_end, mode, cfg, tol_i, guess)
     stats.steps += 1
     stats.newton_iters += iters
     stats.residual_evals += evals
@@ -439,19 +496,20 @@ def _advance(k: Coeffs, st: _State, t0: float, dt, drive_end: np.ndarray, drive_
             loop_residual=float(np.max(np.abs(aux.loop_residual[bad]))),
             kcl_residual=float(np.max(kcl)),
             device_indices=cols[bad],
+            stats=stats,
         )
 
     stats.halvings += 1
     sub_k = k.slice(bad)
     sub_st = _State(*(a[bad] for a in st))
-    sub_cols = cols[bad]
+    sub_tol, sub_cols = tol_i[bad], cols[bad]
     half = 0.5 * dt
     t_mid = t0 + half
     aux_a = _advance(sub_k, sub_st, t0, half, _rows(drive_at(t_mid, sub_cols)),
-                     drive_at, mode, cfg, depth - 1, stats, sub_cols)
+                     drive_at, mode, cfg, sub_tol, depth - 1, stats, sub_cols)
     aux_b = _advance(sub_k, _State(*aux_a[:4]), t_mid, half,
                      _rows(drive_at(t_mid + half, sub_cols)), drive_at, mode, cfg,
-                     depth - 1, stats, sub_cols)
+                     sub_tol, depth - 1, stats, sub_cols)
     return _scatter(aux, bad, aux_b)
 
 
@@ -472,6 +530,7 @@ def _predict(hist):
     return _THREE * (a.v_fe - b.v_fe) + c.v_fe, _THREE * (a.v_int - b.v_int) + c.v_int
 
 
+@_QUIET
 def run_transient_batch(pb: ParamsBatch, wf: Waveform,
                         cfg: Optional[SolverConfig] = None,
                         init: Optional[_State] = None) -> TimeSeries:
@@ -546,6 +605,7 @@ def run_transient_batch(pb: ParamsBatch, wf: Waveform,
         kcl_residual=zero))
 
     k_trials = k._make(map(_rows, k))
+    tol_i = _tol_i(cfg, k.area)
     dts = np.diff(grid)
     drive = wf.value_at(grid[:-1] + dts)
     # Breakpoint interval of each base step.
@@ -556,7 +616,7 @@ def run_transient_batch(pb: ParamsBatch, wf: Waveform,
         hist = hist[-2:] + [st]
         # dts[i - 1, ...] is a 0-d view: the step's dt as an array operand.
         aux = _advance(k_trials, st, grid[i - 1], dts[i - 1, ...],
-                       np.full((2, n), drive[i - 1]), drive_at, wf.mode, cfg,
+                       np.full((2, n), drive[i - 1]), drive_at, wf.mode, cfg, tol_i,
                        cfg.max_step_halvings, stats, cols_all, _predict(hist))
         st = _State(*aux[:4])
         if i == 1 and init is not None:
@@ -583,6 +643,7 @@ def run_transient(params: DeviceParams, wf: Waveform,
     return batch.device(0)
 
 
+@_QUIET
 def solve_timestep(state: DeviceState, dt: float, drive_value: float,
                    params: DeviceParams, cfg: Optional[SolverConfig] = None,
                    mode: str = VOLTAGE) -> DeviceState:
@@ -604,7 +665,8 @@ def solve_timestep(state: DeviceState, dt: float, drive_value: float,
         return np.full(len(cols), drive_value)
 
     new = _advance(k._make(map(_rows, k)), st, state.t, dt, np.full((2, 1), drive_value),
-                   drive_at, mode, cfg, cfg.max_step_halvings, stats, np.arange(1))
+                   drive_at, mode, cfg, _tol_i(cfg, k.area), cfg.max_step_halvings, stats,
+                   np.arange(1))
     return DeviceState(p=float(new.p[0]), v_fe=float(new.v_fe[0]),
                        v_int=float(new.v_int[0]), t=state.t + dt)
 

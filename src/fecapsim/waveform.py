@@ -60,17 +60,22 @@ class Waveform:
 
         For 2-D values, returns shape (n_devices,) for scalar *t* and
         (len(t), n_devices) for a 1-D *t*; *cols* selects a device subset.
+        Both shapes interpolate with one formula, ``np.interp``'s: v_j at a
+        breakpoint t_j, and slope_j * (t - t_j) + v_j inside the interval
+        (t_j, t_j+1); so a drive given as 1-D values and as a single column
+        gives the same bits.
         """
-        if self.values.ndim == 1:
-            out = np.interp(t, self.times, self.values)
-            return out
-        vals = self.values if cols is None else self.values[:, cols]
-        idx = np.searchsorted(self.times, t, side="right")
-        idx = np.clip(idx, 1, self.times.size - 1)
-        t0 = self.times[idx - 1]
-        t1 = self.times[idx]
-        w = np.expand_dims(np.clip((t - t0) / (t1 - t0), 0.0, 1.0), -1)
-        return vals[idx - 1] + w * (vals[idx] - vals[idx - 1])
+        vals = self.values if cols is None or self.values.ndim == 1 else self.values[:, cols]
+        times = self.times
+        # A zero slope past the last breakpoint holds the end value.
+        slopes = np.concatenate([(np.diff(vals, axis=0).T / np.diff(times)).T,
+                                 np.zeros_like(vals[:1])])
+        t = np.clip(t, times[0], times[-1])
+        j = np.searchsorted(times, t, side="right") - 1
+        dt = t - times[j]
+        if vals.ndim == 2:
+            dt = np.expand_dims(dt, -1)
+        return np.where(dt == 0.0, vals[j], slopes[j] * dt + vals[j])[()]
 
     def time_grid(self, dt: float) -> np.ndarray:
         """Step-boundary times covering the waveform at base step *dt*.

@@ -1,8 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
 
 import fecapsim as fc
-from fecapsim import montecarlo
+from fecapsim import arraybench, montecarlo
 from fecapsim.arraybench import bench_waveform, run_array_bench
 from fecapsim.montecarlo import McDistribution
 from fecapsim.params import ParamsBatch
@@ -86,6 +88,32 @@ def test_every_failing_cell_counted(p25):
         alone = ParamsBatch.from_params(montecarlo.sample_params(p25, dist, rng))
         with pytest.raises(StepFailureError):
             run_transient_batch(alone, bench_waveform(), cfg)
+
+
+def test_work_of_failed_runs_counted(p25, monkeypatch):
+    # newton_iters sums the work of every batch run, the ones that raised
+    # included; a StepFailureError carries its run's work, also pickled
+    cfg = fc.SolverConfig(dt=2e-7, record_every=10**9, max_newton_iters=2,
+                          max_step_halvings=0)
+    spent = []
+
+    def counted(pb, wf, cfg):
+        try:
+            ts = run_transient_batch(pb, wf, cfg)
+        except StepFailureError as err:
+            spent.append(err.stats.newton_iters)
+            again = pickle.loads(pickle.dumps(err))
+            assert again.stats == err.stats and again.device_indices == err.device_indices
+            raise
+        spent.append(ts.stats.newton_iters)
+        return ts
+
+    monkeypatch.setattr(arraybench, "run_transient_batch", counted)
+    rep = run_array_bench(p25, [64], cfg=cfg, chunk=32,
+                          mc=(McDistribution.table_21c(), 5))
+    assert rep.failures == [64]
+    assert len(spent) > 2 and sum(spent) > 0
+    assert rep.newton_iters == [sum(spent)]
 
 
 def test_one_pool_serves_every_size(p25, monkeypatch):

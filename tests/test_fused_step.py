@@ -2,7 +2,8 @@
 
 The step evaluates every constitutive formula through the per-batch
 constants of ``Coeffs``; composed stage by stage from the public functions
-at the same inputs, each of its outputs must agree to rounding.
+at the same inputs, each of its outputs must agree to rounding. The row a
+solved step records is ``at`` of its own solution, bit for bit.
 """
 
 import numpy as np
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 import fecapsim as fc
 from fecapsim.params import ParamsBatch
 from fecapsim.physics import Coeffs
-from fecapsim.solver import _make_step, _State
+from fecapsim.solver import SolverConfig, _make_step, _rows, _solve_step, _State, _tol_i
+from fecapsim.waveform import CURRENT, VOLTAGE
 
 from strategies import devices
 
@@ -77,3 +79,27 @@ def test_fused_step_matches_public_physics(params, p_prev, v_fe_prev, v_int_prev
     i_scale = params.area * sum(map(abs, j_fe + j_int))
     assert close(got["i"], params.area * sum(j_int), i_scale)
     assert close(got["kcl_residual"], params.area * (sum(j_fe) - sum(j_int)), i_scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=devices(), p_prev=st.floats(0.0, 1.0), v_fe_prev=volts,
+       v_int_prev=st.floats(-1.0, 1.0), drive=st.floats(-1.0, 1.0),
+       log_dt=st.floats(-9.0, -5.0), current=st.booleans())
+def test_solved_row_is_at_of_its_solution(params, p_prev, v_fe_prev, v_int_prev,
+                                          drive, log_dt, current):
+    # the hot path evaluates the residual on the two trial rows and builds
+    # the row once from the converged point; `at`, evaluated per device at
+    # that point, must give every field of that row bit for bit
+    dt = np.array(10.0 ** log_dt)
+    k = Coeffs.of(ParamsBatch.from_params(params, 1))
+    prev = _State(np.array([p_prev]), np.array([v_fe_prev]), np.array([v_int_prev]),
+                  np.array([0.0]))
+    cfg = SolverConfig()
+    drive = drive * 1e-6 * params.area / 25e-12 if current else 3.0 * drive
+    row, _, _, _ = _solve_step(k._make(map(_rows, k)), prev, dt, np.full((2, 1), drive),
+                               CURRENT if current else VOLTAGE, cfg, _tol_i(cfg, k.area))
+    at, _ = _make_step(k, prev, dt)
+    want = (at(row.v_fe, row.v_int) if current
+            else at(row.v_fe, None, np.array([drive])))
+    for name in row._fields:
+        assert getattr(row, name).tobytes() == getattr(want, name).tobytes(), name

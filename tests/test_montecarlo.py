@@ -8,7 +8,7 @@ import pytest
 import fecapsim as fc
 from fecapsim import analyses, montecarlo
 from fecapsim.montecarlo import McDistribution, ParamDist, ScenarioSpec
-from fecapsim.params import ParamsBatch
+from fecapsim.params import PARAM_FIELDS, ParamsBatch
 from fecapsim.solver import StepFailureError
 
 
@@ -102,6 +102,44 @@ def test_sample_matches_chained_construction(base):
             got = montecarlo.sample_params(base, dist, np.random.default_rng(seed))
             want = chained_sample(base, dist, np.random.default_rng(seed))
             assert got == want, (dist, seed)
+
+def test_batch_draw_matches_sample_params(base):
+    # one pass over the generators draws what sample_params draws, cell by
+    # cell; the needle table's bounds almost never take a draw, so its t_int
+    # goes through all the redraws and is then clamped
+    lower, upper = 1.5e-9 - 1e-13, 1.5e-9 + 1e-13
+    needle = McDistribution(entries=(
+        ParamDist("t_int", 1.5e-9, 1e-9, lower, upper),
+        ParamDist("N_depl", 1.05e28, 2.65e27, 1e26, 2e28),
+        ParamDist("Q_fix_depl", 0.098, 0.0, 0.098, 0.098),
+    ), temperature=300.0)
+    for dist in (McDistribution.table_21c(), McDistribution.table_85c(), needle):
+        for seed in (0, 1, 17, 2024):
+            got = montecarlo._draw_batch(base, dist, montecarlo._trial_rngs(seed, 3, 40))
+            want = ParamsBatch.from_list(montecarlo.sample_params(base, dist, rng)
+                                         for rng in montecarlo._trial_rngs(seed, 3, 40))
+            assert got.n == want.n == 37
+            for name in PARAM_FIELDS:
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), \
+                    (dist, seed, name)
+            if dist is needle:
+                assert np.isin(got.t_int, (lower, upper)).any()
+
+
+def test_batch_draw_rejects_what_device_params_rejects(base):
+    # a pinned invalid value, and draws of which some are invalid: the batch
+    # raises the error the first invalid cell's DeviceParams raises
+    for entry in (ParamDist("P_s", 0.0, 0.0, 0.0, 0.0),
+                  ParamDist("t_int", 1e-10, 1e-9, -5e-9, 5e-9)):
+        dist = McDistribution(entries=(entry,))
+        with pytest.raises(ValueError) as want:
+            for rng in montecarlo._trial_rngs(5, 0, 16):
+                montecarlo.sample_params(base, dist, rng)
+        with pytest.raises(ValueError) as got:
+            montecarlo._draw_batch(base, dist, montecarlo._trial_rngs(5, 0, 16))
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"DeviceParams.{entry.name} must be finite and > 0")
+
 
 def test_invalid_distribution():
     with pytest.raises(ValueError):

@@ -91,3 +91,15 @@ def test_per_device_values():
 def test_segment_duration_positive():
     with pytest.raises(ValueError):
         from_segments(VOLTAGE, [(0.0, 1.0)])
+
+
+def test_1d_values_and_single_column_interpolate_alike():
+    # one formula for both shapes: the same drive as a 1-D vector and as a
+    # single column gives the same bits at and between breakpoints
+    one = from_segments(VOLTAGE, [(1e-6, 1.0), (1e-6, 0.0)])
+    col = from_segments(VOLTAGE, [(1e-6, [1.0]), (1e-6, [0.0])])
+    grid = one.time_grid(1e-7)
+    t = np.concatenate([grid, grid[:-1] + np.diff(grid) / 3.0, [-1.0, 5e-6]])
+    assert one.value_at(t).tobytes() == col.value_at(t)[:, 0].tobytes()
+    for ti in t:
+        assert np.float64(one.value_at(ti)).tobytes() == col.value_at(ti)[0].tobytes()
