@@ -25,8 +25,8 @@ Numerical guards used throughout:
 
 The methods the solver's step evaluates on every Newton iterate
 (``p_next``, ``phi``, ``j_pf``, ``j_fn``) call no helper functions beyond
-the formula methods they build on (``rates``, ``c_depl``) and build no
-named tuples.
+the formulas they build on (``rates``, ``c_depl``, ``polarization``) and
+build no named tuples.
 
 Operand shapes: the solver evaluates the :class:`Coeffs` methods on arrays
 shaped like its trial points, with every field repeated to that shape, and
