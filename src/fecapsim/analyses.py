@@ -108,10 +108,11 @@ def extract_loop_metrics(v: np.ndarray, p: np.ndarray):
     gives pr_pos); coercive voltages are V at the P = 0 crossings. Missing
     crossings yield NaN.
     """
-    pr_desc = [pv for pv, asc in zero_crossings(v, p) if not asc]
-    pr_asc = [pv for pv, asc in zero_crossings(v, p) if asc]
-    vc_asc = [vv for vv, asc in zero_crossings(p, v) if asc]
-    vc_desc = [vv for vv, asc in zero_crossings(p, v) if not asc]
+    at_v0, at_p0 = zero_crossings(v, p), zero_crossings(p, v)
+    pr_desc = [pv for pv, asc in at_v0 if not asc]
+    pr_asc = [pv for pv, asc in at_v0 if asc]
+    vc_asc = [vv for vv, asc in at_p0 if asc]
+    vc_desc = [vv for vv, asc in at_p0 if not asc]
     pr_pos = max(pr_desc) if pr_desc else math.nan
     pr_neg = min(pr_asc) if pr_asc else math.nan
     vc_pos = max(vc_asc) if vc_asc else math.nan

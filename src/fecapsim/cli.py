@@ -1,7 +1,8 @@
 """Command-line interface: one subcommand per analysis.
 
-Usage: ``fecap-sim <subcommand> [--scenario FILE] [--out DIR] [--seed N]
-[--workers N] [--dt SECONDS]``. Results are CSV files plus a run manifest
+Usage: ``fecap-sim <subcommand> [--scenario FILE] [--out DIR] [--dt SECONDS]``,
+plus ``--seed N`` for ``mc`` and ``--workers N`` for ``mc`` and ``bench``, the
+only subcommands that read them. Results are CSV files plus a run manifest
 with the fully resolved configuration. Exit codes: 0 success, 1 usage or
 configuration error, 2 solver convergence failure, 3 I/O failure.
 """
@@ -45,6 +46,8 @@ def _build_parser() -> _Parser:
                      description="FeCap compact-model simulator")
     parser.add_argument("--version", action="version",
                         version=f"fecap-sim {__version__}")
+    # What the subcommands without --seed or --workers run with.
+    parser.set_defaults(seed=None, workers=1)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _SUBCOMMANDS:
         p = sub.add_parser(name, help=f"run the {name} analysis")
@@ -54,12 +57,14 @@ def _build_parser() -> _Parser:
                        help="scenario configuration file")
         p.add_argument("--out", type=str, default=None,
                        help="output directory (default: scenario [output] or '.')")
-        p.add_argument("--seed", type=int, default=None,
-                       help="Monte-Carlo seed override")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker processes for mc/bench")
         p.add_argument("--dt", type=float, default=None,
                        help="base time step override, seconds")
+        if name == "mc":
+            p.add_argument("--seed", type=int, default=None,
+                           help="Monte-Carlo seed override")
+        if name in ("mc", "bench"):
+            p.add_argument("--workers", type=int, default=1,
+                           help="worker processes")
     return parser
 
 
@@ -92,8 +97,8 @@ def _write_manifest(out: Path, scen: Scenario, argv) -> None:
         f"fecap-sim {__version__}\n"
         f"python {sys.version.split()[0]} | numpy {np.__version__}\n"
         f"command: fecap-sim {' '.join(argv)}\n"
-        f"seed: {scen.mc.seed}\n"
-        "--- resolved scenario ---\n"
+        + (f"seed: {scen.mc.seed}\n" if scen.kind == "mc" else "")
+        + "--- resolved scenario ---\n"
         f"{emit_scenario(scen)}"
     )
     (out / "run_manifest.txt").write_text(text)

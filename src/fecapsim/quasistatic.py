@@ -18,7 +18,7 @@ from .params import DeviceParams
 # The solves below evaluate these formulas through Coeffs; the public functions
 # stay bound here because perfbench/tracing.py wraps the physics calls at these names.
 from .physics import Coeffs, c_layer, j_fn, j_pf, p_steady_state, phi_depl  # noqa: F401
-from .solver import _QUIET, _TOL_I_REF, _TOL_I_REF_AREA, SolverConfig, _root, run_transient
+from .solver import _QUIET, SolverConfig, _root, _tol_i, run_transient
 from .waveform import Waveform
 
 # Tolerance (V) on the Newton correction of the DC and C-V solves, and on
@@ -47,25 +47,6 @@ def _dc_mismatch(v_fe, bias, k: Coeffs):
     return k.j_pf(v_fe * k.inv_t_fe) - k.j_fn(v_int * k.inv_t_int)
 
 
-def _solve_bias(bias: float, k: Coeffs, guess_v_fe: float,
-                tol_i: float) -> tuple[float, float]:
-    """Solve one DC bias point; returns (v_fe, v_int).
-
-    The loop equation is eliminated analytically, leaving a scalar
-    current-balance root-find in V_fe, started from the continuation guess.
-    """
-
-    def mismatch(v_fe):
-        return k.area * _dc_mismatch(v_fe, bias, k), ()
-
-    v_fe, r_cur, conv, _, _ = _root(mismatch, np.array([guess_v_fe]), tol_i,
-                                    _TOL_V, _MAX_ITERS)
-    if not conv[0]:
-        raise DcConvergenceError(bias, f" (|KCL| = {abs(r_cur[0]):.3e} A)")
-    v_fe = float(v_fe[0])
-    return v_fe, float(_dc_vint(v_fe, bias, k))
-
-
 @_QUIET
 def dc_sweep(params: DeviceParams, v_start: float, v_stop: float,
              n_points: int, newton_tol_i: Optional[float] = None):
@@ -79,17 +60,21 @@ def dc_sweep(params: DeviceParams, v_start: float, v_stop: float,
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
-    tol_i = (newton_tol_i if newton_tol_i is not None
-             else _TOL_I_REF * params.area / _TOL_I_REF_AREA)
     k = Coeffs.of(params)
-    biases = np.linspace(v_start, v_stop, n_points)
+    tol_i = _tol_i(newton_tol_i, k.area)
     out = []
-    guess = 0.0
-    for bias in biases:
-        v_fe, v_int = _solve_bias(float(bias), k, guess, tol_i)
-        guess = v_fe
-        current = float(k.area * k.j_fn(v_int * k.inv_t_int))
-        out.append((float(bias), current))
+    v_fe = np.zeros(1)
+    for bias in np.linspace(v_start, v_stop, n_points).tolist():
+        # The loop is eliminated analytically, leaving a scalar current
+        # balance in V_fe, started from the previous bias point's solution.
+        def mismatch(v):
+            return k.area * _dc_mismatch(v, bias, k), ()
+
+        v_fe, r_cur, conv, _, _ = _root(mismatch, v_fe, tol_i, _TOL_V, _MAX_ITERS)
+        if not conv[0]:
+            raise DcConvergenceError(bias, f" (|KCL| = {abs(r_cur[0]):.3e} A)")
+        current = k.area * k.j_fn(_dc_vint(v_fe, bias, k) * k.inv_t_int)
+        out.append((bias, float(current[0])))
     return out
 
 

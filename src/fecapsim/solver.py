@@ -39,14 +39,17 @@ The work per Newton iterate is kept to what the iterate needs: the residual
 of the record row, and :func:`_row` forms V_appl or V_int, the terminal
 current and the loop residual once per accepted step. Per run, not per
 step or root-find, a run interpolates the drive at every base step in one
-vectorized call, fixes each device's KCL tolerance and silences numpy's
-divide/invalid warnings (:data:`_QUIET`).
+vectorized call, fixes each device's KCL tolerance (:func:`_tol_i`, which
+the DC sweep uses too) and silences numpy's divide/invalid warnings
+(:data:`_QUIET`).
 
-A converged step yields one row of the record: its fields are named after
-the :class:`TimeSeries` columns, and its first four are the next step's
-state. ``TimeSeries`` is the one column list, for one device or a batch:
-recording, :meth:`TimeSeries.device`, the joining of phases and the CSV
-all follow its fields.
+A converged step yields one row of the record, a :class:`_StepAux` whose
+fields are derived from the :class:`TimeSeries` columns; its first four are
+the next step's state. Every row goes through :func:`_row`: each accepted
+step's, the t = 0 row's and :func:`step_residual`'s. ``TimeSeries`` is the
+one column list, for one device or a batch: the record row, recording,
+:meth:`TimeSeries.device`, the joining of phases and the CSV all follow
+its fields.
 
 Everything is vectorized over a device axis: a batch of n independent
 devices advances in one pass, and a single device is just n = 1.
@@ -54,6 +57,7 @@ devices advances in one pass, and a single device is just n = 1.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional
 
@@ -129,6 +133,12 @@ class SolverConfig:
             raise ValueError(f"newton_tol_i must be finite and > 0, got {self.newton_tol_i}")
         if not 0.0 <= self.p_init <= 1.0:
             raise ValueError("p_init must be in [0, 1]")
+        for name in ("max_newton_iters", "max_step_halvings", "record_every"):
+            value = getattr(self, name)
+            # A fractional iteration budget is never met exactly, so the
+            # Newton loop would not stop.
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_newton_iters < 1 or self.max_step_halvings < 0:
             raise ValueError("iteration limits out of range")
         if self.record_every < 1:
@@ -199,26 +209,6 @@ class _State(NamedTuple):
     v_appl: np.ndarray
 
 
-class _StepAux(NamedTuple):
-    """Per-device quantities of a converged (or trial) step.
-
-    Each is named after the :class:`TimeSeries` column it is recorded under;
-    the first four are the step's end state (:class:`_State`).
-    """
-
-    p: np.ndarray
-    v_fe: np.ndarray
-    v_int: np.ndarray
-    v_appl: np.ndarray
-    i: np.ndarray
-    phi_depl: np.ndarray
-    j_pf: np.ndarray
-    j_fn: np.ndarray
-    j_pol: np.ndarray
-    loop_residual: np.ndarray
-    kcl_residual: np.ndarray
-
-
 def _rows(a):
     """Per-device array *a*, (n,), repeated over the two trial rows of
     :func:`_root`: shape (2, n)."""
@@ -287,6 +277,17 @@ class TimeSeries:
         return np.concatenate([np.zeros_like(self.i[:1]), np.cumsum(dq, axis=0)])
 
 
+_StepAux = NamedTuple("_StepAux", [(name, np.ndarray) for name in _State._fields + tuple(
+    f.name for f in fields(TimeSeries)
+    if f.name not in _State._fields + ("t", "pol", "stats"))])
+_StepAux.__doc__ = """Per-device record row of a converged (or trial) step.
+
+Its fields are the :class:`TimeSeries` columns but ``t`` and ``pol``, which
+the run adds: first the step's end state (:class:`_State`'s four fields,
+the next step's start), then the others in column order.
+"""
+
+
 def _root(fun, x0: np.ndarray, tol_f, tol_x, max_iters: int):
     """Safeguarded Newton on one scalar equation f(x) = 0 per device.
 
@@ -342,14 +343,15 @@ def _make_residual(k: Coeffs, prev: _State, dt: float):
 
     ``residual`` is the one formula path of the step. It takes V_fe and
     either V_int (V_appl then follows from the loop) or V_appl (V_int
-    follows from the loop); *iface*, the (j_fn, interface current density)
+    follows from the loop), or both (as :func:`step_residual` does, which
+    leaves the loop open); *iface*, the (j_fn, interface current density)
     pair that ``interface`` gives at a trial V_int, stands in for the
     interface branch when V_int is fixed. It returns the internal-node KCL
     mismatch, A, and the tuple (p, v_int, phi_depl, j_pf, j_fn, j_int,
-    j_pol) from which :func:`_row` builds a record row. Any array may carry
-    a leading trial axis in front of the device axis; the solver gives the
-    trials, *prev* and the fields of *k* one shape, (2, n). Only ``p``,
-    ``v_fe`` and ``v_int`` of *prev* are read.
+    j_pol); ``_row(area, v_fe, v_app, *residual(...))`` makes that a record
+    row. Any array may carry a leading trial axis in front of the device
+    axis; the solver gives the trials, *prev* and the fields of *k* one
+    shape, (2, n). Only ``p``, ``v_fe`` and ``v_int`` of *prev* are read.
     """
     inv_dt = _ONE / dt
     c_fe_dt = k.c_fe * inv_dt
@@ -376,26 +378,12 @@ def _make_residual(k: Coeffs, prev: _State, dt: float):
     return residual, interface
 
 
-def _make_step(k: Coeffs, prev: _State, dt: float):
-    """:func:`_make_residual` with each evaluation turned into its record row;
-    returns (at, interface).
-
-    ``at(v_fe, v_int, v_app, iface)`` gives the :class:`_StepAux` of a
-    trial; it may also take V_int and V_appl both, and the loop residual is
-    then whatever the trial leaves.
-    """
-    residual, interface = _make_residual(k, prev, dt)
-
-    def at(v_fe, v_int=None, v_app=None, iface=None) -> _StepAux:
-        return _row(k.area, v_fe, v_app, *residual(v_fe, v_int, v_app, iface))
-
-    return at, interface
-
-
 def _row(area, v_fe, v_app, kcl, aux) -> _StepAux:
     """Record row of a step solved at *v_fe*, from the (*kcl*, *aux*) that
     :func:`_make_residual`'s ``residual`` returned there; *v_app* is None
-    when the loop gives it."""
+    when the loop gives it. Every record row is built here: each accepted
+    step's, the t = 0 row's and :func:`step_residual`'s, so the terminal
+    current and the loop residual have one formula."""
     p_n, v_int, phi, jpf, jfn, j_int, j_pol = aux
     if v_app is None:
         v_app = v_fe + v_int + phi
@@ -403,11 +391,11 @@ def _row(area, v_fe, v_app, kcl, aux) -> _StepAux:
                     v_app - v_fe - v_int - phi, kcl)
 
 
-def _tol_i(cfg: SolverConfig, area: np.ndarray) -> np.ndarray:
-    """Per-device KCL tolerance, A: ``newton_tol_i``, or by default 1e-12 A
-    scaled by device area / 25 um^2."""
-    if cfg.newton_tol_i is not None:
-        return np.full(area.shape, cfg.newton_tol_i)
+def _tol_i(newton_tol_i: Optional[float], area) -> np.ndarray:
+    """Per-device KCL tolerance, A, of the transient and the DC solves:
+    *newton_tol_i*, or by default 1e-12 A scaled by device area / 25 um^2."""
+    if newton_tol_i is not None:
+        return np.full_like(area, newton_tol_i)
     return _TOL_I_REF * area / _TOL_I_REF_AREA
 
 
@@ -556,7 +544,7 @@ def run_transient_batch(pb: ParamsBatch, wf: Waveform,
     converged :class:`_StepAux`, whose fields carry the column names, plus
     ``t`` and ``pol``; the next step starts from that row's state. The
     first row holds the initial split with no polarization current and no
-    KCL residual.
+    KCL residual, built by the same :func:`_row`.
 
     ``init`` continues from a known state (e.g. the previous drive phase);
     without it the internal voltages are solved self-consistently from the
@@ -596,16 +584,15 @@ def run_transient_batch(pb: ParamsBatch, wf: Waveform,
         for name, a in zip(aux._fields, aux):
             out[name][row] = a
 
-    phi = k.phi(st.p, k.c_fe * st.v_fe)
-    j_fn = k.j_fn(st.v_int * k.inv_t_int)
-    zero = np.zeros(n)
-    record(0, grid[0], _StepAux(
-        *st, i=k.area * j_fn, phi_depl=phi, j_pf=k.j_pf(st.v_fe * k.inv_t_fe),
-        j_fn=j_fn, j_pol=zero, loop_residual=st.v_appl - st.v_fe - st.v_int - phi,
-        kcl_residual=zero))
+    # The initial split carries no capacitive current: the terminal current
+    # is the interface leakage, and the KCL residual is not measured.
+    j_fn, zero = k.j_fn(st.v_int * k.inv_t_int), np.zeros(n)
+    record(0, grid[0], _row(k.area, st.v_fe, st.v_appl, zero, (
+        st.p, st.v_int, k.phi(st.p, k.c_fe * st.v_fe), k.j_pf(st.v_fe * k.inv_t_fe),
+        j_fn, j_fn, zero)))
 
     k_trials = k._make(map(_rows, k))
-    tol_i = _tol_i(cfg, k.area)
+    tol_i = _tol_i(cfg.newton_tol_i, k.area)
     dts = np.diff(grid)
     drive = wf.value_at(grid[:-1] + dts)
     # Breakpoint interval of each base step.
@@ -665,8 +652,8 @@ def solve_timestep(state: DeviceState, dt: float, drive_value: float,
         return np.full(len(cols), drive_value)
 
     new = _advance(k._make(map(_rows, k)), st, state.t, dt, np.full((2, 1), drive_value),
-                   drive_at, mode, cfg, _tol_i(cfg, k.area), cfg.max_step_halvings, stats,
-                   np.arange(1))
+                   drive_at, mode, cfg, _tol_i(cfg.newton_tol_i, k.area),
+                   cfg.max_step_halvings, stats, np.arange(1))
     return DeviceState(p=float(new.p[0]), v_fe=float(new.v_fe[0]),
                        v_int=float(new.v_int[0]), t=state.t + dt)
 
@@ -687,10 +674,10 @@ def step_residual(state_next: DeviceState, state_prev: DeviceState, dt: float,
     k = Coeffs.of(ParamsBatch.from_params(params, 1))
     prev = _State(*(np.array([x], dtype=np.float64)
                     for x in (state_prev.p, state_prev.v_fe, state_prev.v_int, 0.0)))
-    at, _ = _make_step(k, prev, dt)
-    v_app = drive_value if mode == VOLTAGE else v_appl_trial
-    aux = at(np.array([state_next.v_fe]), np.array([state_next.v_int]),
-             np.array([v_app], dtype=np.float64))
+    residual, _ = _make_residual(k, prev, dt)
+    v_fe, v_int = np.array([state_next.v_fe]), np.array([state_next.v_int])
+    v_app = np.array([drive_value if mode == VOLTAGE else v_appl_trial], dtype=np.float64)
+    aux = _row(k.area, v_fe, v_app, *residual(v_fe, v_int, v_app))
     r = (aux.loop_residual, aux.kcl_residual)
     if mode == CURRENT:
         r += (aux.i - drive_value,)

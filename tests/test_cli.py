@@ -37,7 +37,8 @@ def test_iv_run(tmp_path):
     assert (tmp_path / "run_manifest.txt").exists()
     manifest = (tmp_path / "run_manifest.txt").read_text()
     assert "kind = iv" in manifest
-    assert "seed:" in manifest
+    # Only mc reads a seed, so only its manifest records one.
+    assert "seed:" not in manifest
 
 
 def test_hysteresis_run_with_scenario(tmp_path):
@@ -260,9 +261,23 @@ def test_bench_workers_match_but_wall_time(tmp_path):
 
 
 def test_seed_override_changes_manifest(tmp_path):
-    cp = run_cli("iv", "--out", str(tmp_path), "--seed", "424242")
-    assert cp.returncode == 0
+    scen = tmp_path / "scen.cfg"
+    scen.write_text("[mc]\nscenario = kinetics\ntrials = 2\n[drive]\nwidths = 1 us\n")
+    cp = run_cli("mc", "--scenario", str(scen), "--out", str(tmp_path), "--seed", "424242")
+    assert cp.returncode == 0, cp.stderr
     assert "seed: 424242" in (tmp_path / "run_manifest.txt").read_text()
+
+
+@pytest.mark.parametrize("args", [
+    ("hysteresis", "--seed", "7"),
+    ("iv", "--workers", "2"),
+    ("bench", "--seed", "7"),
+])
+def test_flag_the_subcommand_does_not_read_exit_1(tmp_path, args):
+    cp = run_cli(*args, "--out", str(tmp_path))
+    assert_clean_usage_error(cp)
+    assert args[1] in cp.stderr
+    assert not list(tmp_path.iterdir())
 
 
 def test_bench_tiny(tmp_path):

@@ -3,7 +3,8 @@
 The step evaluates every constitutive formula through the per-batch
 constants of ``Coeffs``; composed stage by stage from the public functions
 at the same inputs, each of its outputs must agree to rounding. The row a
-solved step records is ``at`` of its own solution, bit for bit.
+solved step records is ``_row(area, v_fe, v_app, *residual(...))`` of its
+own solution, bit for bit.
 """
 
 import numpy as np
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 import fecapsim as fc
 from fecapsim.params import ParamsBatch
 from fecapsim.physics import Coeffs
-from fecapsim.solver import SolverConfig, _make_step, _rows, _solve_step, _State, _tol_i
+from fecapsim.solver import (SolverConfig, _make_residual, _row, _rows, _solve_step, _State,
+                             _tol_i)
 from fecapsim.waveform import CURRENT, VOLTAGE
 
 from strategies import devices
@@ -39,9 +41,11 @@ def test_fused_step_matches_public_physics(params, p_prev, v_fe_prev, v_int_prev
     dt = 10.0 ** log_dt
     prev = _State(np.array([p_prev]), np.array([v_fe_prev]),
                   np.array([v_int_prev]), np.array([0.0]))
-    at, _ = _make_step(Coeffs.of(ParamsBatch.from_params(params, 1)), prev, dt)
-    trial = np.array([v_other])
-    aux = at(np.array([v_fe]), *((trial, None) if int_given else (None, trial)))
+    k = Coeffs.of(ParamsBatch.from_params(params, 1))
+    residual, _ = _make_residual(k, prev, dt)
+    v_fe_trial, trial = np.array([v_fe]), np.array([v_other])
+    v_int, v_app = (trial, None) if int_given else (None, trial)
+    aux = _row(k.area, v_fe_trial, v_app, *residual(v_fe_trial, v_int, v_app))
     got = {name: float(getattr(aux, name)[0]) for name in aux._fields}
 
     e_fe = v_fe / params.t_fe
@@ -88,8 +92,9 @@ def test_fused_step_matches_public_physics(params, p_prev, v_fe_prev, v_int_prev
 def test_solved_row_is_at_of_its_solution(params, p_prev, v_fe_prev, v_int_prev,
                                           drive, log_dt, current):
     # the hot path evaluates the residual on the two trial rows and builds
-    # the row once from the converged point; `at`, evaluated per device at
-    # that point, must give every field of that row bit for bit
+    # the row once from the converged point; the residual and _row,
+    # evaluated per device at that point, must give every field of that row
+    # bit for bit
     dt = np.array(10.0 ** log_dt)
     k = Coeffs.of(ParamsBatch.from_params(params, 1))
     prev = _State(np.array([p_prev]), np.array([v_fe_prev]), np.array([v_int_prev]),
@@ -97,9 +102,10 @@ def test_solved_row_is_at_of_its_solution(params, p_prev, v_fe_prev, v_int_prev,
     cfg = SolverConfig()
     drive = drive * 1e-6 * params.area / 25e-12 if current else 3.0 * drive
     row, _, _, _ = _solve_step(k._make(map(_rows, k)), prev, dt, np.full((2, 1), drive),
-                               CURRENT if current else VOLTAGE, cfg, _tol_i(cfg, k.area))
-    at, _ = _make_step(k, prev, dt)
-    want = (at(row.v_fe, row.v_int) if current
-            else at(row.v_fe, None, np.array([drive])))
+                               CURRENT if current else VOLTAGE, cfg,
+                               _tol_i(cfg.newton_tol_i, k.area))
+    residual, _ = _make_residual(k, prev, dt)
+    v_int, v_app = (row.v_int, None) if current else (None, np.array([drive]))
+    want = _row(k.area, row.v_fe, v_app, *residual(row.v_fe, v_int, v_app))
     for name in row._fields:
         assert getattr(row, name).tobytes() == getattr(want, name).tobytes(), name

@@ -1,8 +1,14 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
 import fecapsim as fc
+from fecapsim.constants import Q_E
+from fecapsim.montecarlo import _field_values
+from fecapsim.physics import DENOM_MIN
 from fecapsim.waveform import triangle
+
+import oracle_utils as oracle
 
 
 @pytest.fixture
@@ -106,3 +112,60 @@ def test_dc_failure_carries_bias(params):
         fc.dc_sweep(params, 0.0, 3.0, 4, newton_tol_i=1e-40)
     assert hasattr(exc.value, "bias")
     assert exc.value.bias == pytest.approx(0.0)
+
+
+def _table_means(dist):
+    return fc.DeviceParams().replace(**_field_values(dist, [e.mean for e in dist.entries]))
+
+
+def oracle_dc_current(d, bias):
+    """Terminal DC current at *bias* from the mpmath closed forms alone.
+
+    p sits at its steady state for E_fe, the loop gives V_int, and V_fe is
+    bisected until the Poole-Frenkel and Fowler-Nordheim currents match;
+    a scan must find exactly one sign change of their difference. Returns
+    the current and the two depletion denominators at the solution.
+    """
+    def split(v_fe):
+        e_fe = v_fe / mp.mpf(d.t_fe)
+        p = oracle.p_steady(e_fe, d.temperature, d.W_b, d.d_e, d.E_off)
+        phi = oracle.phi_depl(p, v_fe, e_fe, d.eps_fe, d.eps_depl, d.N_depl_dn,
+                              d.N_depl_up, d.Q_fix_depl, d.P_s, d.t_fe)
+        j_int = oracle.j_fn((bias - v_fe - phi) / mp.mpf(d.t_int), d.phi_b_int,
+                            d.m_eff_int)
+        j_fe = oracle.j_pf(e_fe, d.temperature, d.mu_fe, d.N_fe, d.phi_tr_fe, d.eps_fe)
+        return j_fe - j_int, j_int, oracle.EPS0 * d.eps_fe * e_fe
+
+    grid = [mp.mpf(min(0.0, bias) - 3.0) + k * mp.mpf(6.0 + abs(bias)) / 60
+            for k in range(61)]
+    f = [split(v)[0] for v in grid]
+    changes = [k for k in range(60) if f[k] * f[k + 1] <= 0]
+    assert len(changes) == 1, changes
+    lo, hi = grid[changes[0]], grid[changes[0] + 1]
+    f_hi = f[changes[0] + 1]
+    for _ in range(64):
+        mid = (lo + hi) / 2
+        f_mid = split(mid)[0]
+        if f_mid * f_hi <= 0:
+            lo = mid
+        else:
+            hi, f_hi = mid, f_mid
+    _, j_int, q_disp = split((lo + hi) / 2)
+    return (float(d.area * j_int),
+            [abs(q_disp + d.Q_fix_depl), abs(q_disp - d.Q_fix_depl)])
+
+
+@pytest.mark.parametrize("device", [
+    fc.DeviceParams(),
+    _table_means(fc.McDistribution.table_85c()),
+    # Above W_b of about 18.5 eV both switching rates sit at the exponent
+    # clamp; the steady state is still the logistic, so I(0 V) is nonzero.
+    fc.DeviceParams(W_b=20.0 * Q_E),
+], ids=["calibrated", "85C-means", "W_b-20eV"])
+def test_dc_sweep_matches_mpmath_balance(device):
+    for bias, current in fc.dc_sweep(device, -3.0, 3.0, 13):
+        want, denominators = oracle_dc_current(device, bias)
+        # The oracle's depletion capacitance has no floor: it is the model
+        # only where the floor does not bind.
+        assert min(denominators) > DENOM_MIN
+        assert current == pytest.approx(want, rel=1e-6), bias

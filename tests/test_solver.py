@@ -458,3 +458,18 @@ def test_converged_current_step_matches_bisection_oracle(params):
     assert abs(r[0]) < cfg.newton_tol_v
     assert abs(r[1]) < tol_i
     assert abs(r[2]) < tol_i
+
+
+@pytest.mark.parametrize("limits", [
+    {"max_newton_iters": 2.5},
+    {"max_newton_iters": 20.0},
+    {"max_step_halvings": 1.5},
+    {"record_every": 2.5},
+])
+def test_non_integer_limits_rejected(limits):
+    # A fractional iteration budget is never reached exactly, so the Newton
+    # loop would not stop; the config is only built here, never run.
+    name = next(iter(limits))
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        fc.SolverConfig(dt=1e-6, newton_tol_v=1e-300, newton_tol_i=1e-300, **limits)
+    fc.SolverConfig(dt=1e-6, **{name: np.int64(3)})
