@@ -18,18 +18,14 @@ import numpy as np
 from .params import DeviceParams, N_DEPL_PRISTINE, ParamsBatch
 from .physics import polarization
 from .solver import (
-    _State,
     SolveStats,
     SolverConfig,
-    StepFailureError,
     TimeSeries,
     batch_final_state,
     run_transient_batch,
 )
 from .waveform import CURRENT, DEFAULT_EDGE, VOLTAGE, from_segments, triangle
 
-# Terminal-current level treated as "fully discharged" between pulses, A.
-DISCHARGE_THRESHOLD = 1e-12
 # Preset convention for switching-kinetics measurements.
 PRESET_VOLTAGE = -3.0
 PRESET_WIDTH = 1e-3
@@ -247,70 +243,46 @@ def current_program_batch(pb: ParamsBatch, pulse_current: float,
                           discharge_between: bool = True,
                           edge: float = DEFAULT_EDGE,
                           gap: float = 30e-6,
-                          discharge_threshold: float = DISCHARGE_THRESHOLD,
                           max_discharge: float = 30e-6,
                           cfg: Optional[SolverConfig] = None,
                           runs: Optional[list] = None) -> np.ndarray:
     """Current-pulse programming; returns P after each pulse, (n_pulses, n).
 
-    Each pulse is driven in current mode. With ``discharge_between`` each
-    device is clamped to 0 V after every pulse until its own terminal
-    current falls below ``discharge_threshold`` (or ``max_discharge`` of
-    clamp time elapses); otherwise pulses are separated by a zero-current
-    hold of ``gap``. Every phase is timed from its own start, so a device's
-    result does not depend on how long the others took to discharge. A
-    StepFailureError names devices by their index in *pb*. If *runs* is a
-    list, each transient is appended to it as (device indices,
-    TimeSeries) in the order run, recorded as ``cfg.record_every`` says;
-    without it only each run's final state is read, so every run records
-    its first and last rows only.
+    Each pulse is driven in current mode. With ``discharge_between`` every
+    pulse is followed by a 0 V clamp of fixed length ``max_discharge``, the
+    clocked reset phase of a programming circuit; otherwise pulses are
+    separated by a zero-current hold of ``gap``. Every phase is one run of
+    the whole batch, so a StepFailureError names devices by their index in
+    *pb*. If *runs* is a list, each phase's TimeSeries is appended to it in
+    the order run, recorded as ``cfg.record_every`` says; without it only
+    each run's final state is read, so every run records its first and last
+    rows only.
     """
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
     cfg = cfg or SolverConfig(dt=PROGRAM_DT)
     if runs is None:
         cfg = replace(cfg, record_every=10**9)
-    everyone = np.arange(pb.n)
-
-    def run(sub, idx, state, wf):
-        try:
-            ts = run_transient_batch(sub, wf, cfg, init=state)
-        except StepFailureError as err:
-            # A clamp runs on part of *pb*: name its devices by their index in *pb*.
-            raise StepFailureError(err.t, err.dt, err.loop_residual, err.kcl_residual,
-                                   idx[list(err.device_indices)]) from err
-        if runs is not None:
-            runs.append((idx, ts))
-        return batch_final_state(ts), ts
-
     pulse = from_segments(CURRENT, [
         (edge, pulse_current), (pulse_width, pulse_current), (edge, 0.0),
     ])
     if discharge_between:
-        # 0 V clamp phases, each a chunk long, totalling max_discharge
-        chunk = max(10 * cfg.dt, 2e-6)
-        n_chunks = max(1, int(np.ceil(max_discharge / chunk - 1e-9)))
-        spans = [chunk] * (n_chunks - 1) + [max_discharge - chunk * (n_chunks - 1)]
-        clamps = [from_segments(VOLTAGE, [(span, 0.0)]) for span in spans]
+        between = from_segments(VOLTAGE, [(max_discharge, 0.0)])
+    else:
+        between = from_segments(CURRENT, [(gap, 0.0)])
+
+    def run(state, wf):
+        ts = run_transient_batch(pb, wf, cfg, init=state)
+        if runs is not None:
+            runs.append(ts)
+        return batch_final_state(ts)
+
     pol_after = np.empty((n_pulses, pb.n))
     state = None
     for k in range(n_pulses):
-        state, _ = run(pb, everyone, state, pulse)
-        if discharge_between:
-            sub, idx, st = pb, everyone, state
-            for j, clamp in enumerate(clamps):
-                st, ts = run(sub, idx, st, clamp)
-                done = (j == n_chunks - 1) | (np.abs(ts.i[-1]) < discharge_threshold)
-                for whole, part in zip(state, st):
-                    whole[idx[done]] = part[done]
-                if done.all():
-                    break
-                if done.any():
-                    sub, idx = sub.slice(~done), idx[~done]
-                    st = _State(*(a[~done] for a in st))
-        elif k < n_pulses - 1:
-            state, _ = run(pb, everyone, state,
-                           from_segments(CURRENT, [(gap, 0.0)]))
+        state = run(state, pulse)
+        if discharge_between or k < n_pulses - 1:
+            state = run(state, between)
         pol_after[k] = polarization(state.p, pb)
     return pol_after
 
@@ -320,7 +292,6 @@ def current_program(params: DeviceParams, pulse_current: float,
                     discharge_between: bool = True,
                     edge: float = DEFAULT_EDGE,
                     gap: float = 30e-6,
-                    discharge_threshold: float = DISCHARGE_THRESHOLD,
                     max_discharge: float = 30e-6,
                     cfg: Optional[SolverConfig] = None) -> ProgramTrace:
     """Single-device current programming; see :func:`current_program_batch`."""
@@ -328,8 +299,8 @@ def current_program(params: DeviceParams, pulse_current: float,
     runs = []
     pol_after = current_program_batch(
         pb, pulse_current, pulse_width, n_pulses, discharge_between,
-        edge, gap, discharge_threshold, max_discharge, cfg, runs)
-    ts = _concat_batches([ts for _, ts in runs])
+        edge, gap, max_discharge, cfg, runs)
+    ts = _concat_batches(runs)
     return ProgramTrace(
         pulse_current=pulse_current, pulse_width=pulse_width,
         n_pulses=n_pulses, discharge_between=discharge_between,

@@ -3,8 +3,9 @@
 Format: ``[section]`` headers with ``key = value [unit]`` lines; ``#``
 starts a comment. Sections: ``[scenario]`` (kind), ``[device]`` (parameter
 overrides in paper or SI units), ``[drive]`` (per-kind drive spec),
-``[solver]``, ``[mc]``, ``[output]``. Unknown sections, unknown keys, bad
-units and out-of-range values are all fatal, with line numbers.
+``[solver]``, ``[mc]`` (kind mc only), ``[output]``. Unknown sections,
+unknown keys, bad units and out-of-range values are all fatal, with line
+numbers.
 
 A run accepts only the keys it reads: a Monte-Carlo ``[drive]`` those of
 :data:`MC_DRIVE_FIELDS`, and ``[solver]`` those of :func:`_solver_table`.
@@ -441,7 +442,11 @@ def parse_scenario(text: str, kind: Optional[str] = None) -> Scenario:
     kind = _parse_value(kind, SCENARIO_KEYS["kind"], "kind", None)
 
     # [mc] first: for kind mc the drive keys depend on the sub-scenario.
-    mc = _section(sections, "mc", _MC_TABLE)
+    # No other kind reads it, so it takes no keys there.
+    if kind == "mc":
+        mc = _section(sections, "mc", _MC_TABLE)
+    else:
+        mc = _section(sections, "mc", {}, f" for kind '{kind}'")
     overrides = tuple((key, mc.pop(key)) for key in MC_OVERRIDE_KEYS if key in mc)
     s = Scenario(kind, mc=McSpec(overrides=overrides, **mc))
 
@@ -506,8 +511,9 @@ def emit_scenario(s: Scenario) -> str:
         ("device", _DEVICE_TABLE, asdict(s.device)),
         ("drive", _drive_table(s, s.drive.get("mode")), s.drive),
         ("solver", _solver_table(s.kind), s.solver),
-        ("mc", _MC_TABLE, {**asdict(s.mc), **dict(s.mc.overrides)}),
     ]
+    if s.kind == "mc":
+        sections.append(("mc", _MC_TABLE, {**asdict(s.mc), **dict(s.mc.overrides)}))
     if s.out_dir is not None:
         sections.append(("output", OUTPUT_KEYS, {"dir": s.out_dir}))
     return "\n".join(_emit_section(*section) for section in sections)

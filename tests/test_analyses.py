@@ -150,6 +150,12 @@ class TestSwitchingKinetics:
         assert 0.0 <= pts[0].delta_p <= 2 * params.P_s
 
 
+def _sampled_batch(base, n):
+    dist = montecarlo.McDistribution.table_21c()
+    return fc.ParamsBatch.from_list(montecarlo.sample_params(base, dist, r)
+                                    for r in montecarlo._trial_rngs(9, 0, n))
+
+
 class TestCurrentProgram:
     def test_zero_current_constant(self, params):
         p25 = params.replace(area=25e-12)
@@ -175,27 +181,39 @@ class TestCurrentProgram:
                    - single.polarization_after[-1]) > 1e-3 * params.P_s
 
     def test_clamp_failure_names_device_in_batch(self, params, monkeypatch):
-        # a later clamp runs on the devices still discharging; a failure in
-        # it must name them by their index in the whole batch
-        base = params.replace(area=25e-12)
-        dist = montecarlo.McDistribution.table_21c()
-        pb = fc.ParamsBatch.from_list(montecarlo.sample_params(base, dist, r)
-                                      for r in montecarlo._trial_rngs(9, 0, 4))
+        # every phase runs the whole batch, so a failure in a clamp reaches
+        # the caller naming the devices by their index in the batch
+        pb = _sampled_batch(params.replace(area=25e-12), 4)
         real = analyses.run_transient_batch
-        failing = []
+        widths = []
 
         def spy(sub, wf, cfg=None, init=None):
-            if wf.mode == "voltage" and sub.n < pb.n:
-                failing.append(sub.t_int[0])
-                raise fc.StepFailureError(1e-6, 1e-7, 1.0, 1.0, (0,))
+            widths.append(sub.n)
+            if wf.mode == "voltage" and len(widths) == 4:
+                raise fc.StepFailureError(1e-6, 1e-7, 1.0, 1.0, (1, 3))
             return real(sub, wf, cfg, init=init)
 
         monkeypatch.setattr(analyses, "run_transient_batch", spy)
         with pytest.raises(fc.StepFailureError) as info:
-            current_program_batch(pb, 250e-9, 1e-5, 1)
-        (want,) = np.flatnonzero(pb.t_int == failing[0])
-        assert want != 0
-        assert info.value.device_indices == (want,)
+            current_program_batch(pb, 250e-9, 1e-5, 2)
+        assert info.value.device_indices == (1, 3)
+        assert widths == [pb.n] * 4
+
+    def test_clamps_last_max_discharge(self, params):
+        # each 0 V clamp is one run of fixed length, whatever the current
+        base = params.replace(area=25e-12)
+        pb = _sampled_batch(base, 3)
+        cfg = fc.SolverConfig(dt=4e-7)
+        edge, width, clamp, n = 1e-8, 1e-5, 12e-6, 3
+        runs = []
+        current_program_batch(pb, 250e-9, width, n, edge=edge, max_discharge=clamp,
+                              cfg=cfg, runs=runs)
+        assert len(runs) == 2 * n
+        assert all(ts.t[-1] == clamp for ts in runs[1::2])
+        trace = fc.current_program(base, 250e-9, width, n, edge=edge,
+                                   max_discharge=clamp, cfg=cfg)
+        assert trace.timeseries.t[-1] == pytest.approx(n * (2 * edge + width + clamp),
+                                                       rel=1e-12)
 
     def test_no_discharge_gap_mode(self, params):
         p25 = params.replace(area=25e-12)
@@ -214,8 +232,8 @@ class TestCurrentProgram:
         runs = []
         current_program_batch(fc.ParamsBatch.from_params(p25, 1), 250e-9, 1e-5, 3,
                               cfg=cfg, runs=runs)
-        parts = [ts.device(0) for _, ts in runs]
-        assert len(parts) > 3
+        parts = [ts.device(0) for ts in runs]
+        assert len(parts) == 2 * 3
         ts = trace.timeseries
         assert len(ts) == sum(map(len, parts)) - (len(parts) - 1)
         row, t_end = 0, 0.0

@@ -177,6 +177,16 @@ def test_solver_key_the_run_does_not_read_exit_1(tmp_path, kind, solver):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_mc_section_outside_mc_exit_1(tmp_path):
+    scen = tmp_path / "scen.cfg"
+    scen.write_text("[mc]\ntrials = 5\n")
+    cp = run_cli("hysteresis", "--scenario", str(scen), "--out", str(tmp_path))
+    assert cp.returncode == 1
+    assert cp.stderr.startswith(
+        "error: line 2: unknown key 'trials' in [mc] for kind 'hysteresis'")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_negative_seed_override_exit_1(tmp_path):
     cp = run_cli("mc", "--seed", "-5", "--out", str(tmp_path))
     assert_clean_usage_error(cp)

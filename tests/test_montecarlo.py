@@ -286,8 +286,8 @@ def test_chunk_bounds_balanced_contiguous():
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("kind", ["hysteresis", "program"])
 def test_run_mc_bitwise_across_chunk_widths(quick_spec, monkeypatch, kind, workers):
-    # in a program batch the devices end their 0 V clamps after different
-    # numbers of chunks; each must still get the bits of its lone run (width 1)
+    # each device of a program batch must get the bits of its lone run
+    # (width 1), whatever the batch it runs in
     if kind == "hysteresis":
         spec, base, n = quick_spec, fc.DeviceParams(), 9
     else:
@@ -307,9 +307,8 @@ def test_run_mc_bitwise_across_chunk_widths(quick_spec, monkeypatch, kind, worke
         monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", width)
         runs.append(fc.run_mc(spec, base, dist, n, seed=31, workers=workers))
         if kind == "program" and width > n and workers == 1:
-            # one batch of all n, whose later clamps ran without the
-            # devices that had settled
-            assert any(1 < m < n for m in clamp_widths)
+            # one batch of all n, and every clamp ran on the whole batch
+            assert clamp_widths == [n] * spec.n_pulses
     first = runs[0]
     assert first.failed_trials == ()
     for res in runs[1:]:

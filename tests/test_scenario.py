@@ -62,9 +62,6 @@ pulses = 12
 discharge = true
 [solver]
 dt = 0.2 us
-[mc]
-seed = 99
-trials = 50
 [output]
 dir = results
 """
@@ -72,7 +69,6 @@ dir = results
     assert s.device.area == pytest.approx(25e-12)
     assert s.drive["current"] == pytest.approx(250e-9)
     assert s.drive["pulses"] == 12
-    assert s.mc.seed == 99
     assert s.out_dir == "results"
     assert parse_scenario(emit_scenario(s)) == s
 
@@ -82,6 +78,14 @@ def test_range_error_names_key_and_line():
         parse_scenario("[device]\nt_fe = -1 nm\n", kind="iv")
     assert "t_fe" in str(exc.value)
     assert "line 2" in str(exc.value)
+
+
+def test_mc_section_only_for_kind_mc():
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario("[mc]\ntrials = 5\n", kind="hysteresis")
+    assert str(exc.value) == "line 2: unknown key 'trials' in [mc] for kind 'hysteresis'"
+    for kind in KINDS:
+        assert ("[mc]" in emit_scenario(parse_scenario("", kind=kind))) == (kind == "mc")
 
 
 def test_unknown_key_rejected():
@@ -264,10 +268,12 @@ def scenarios(draw):
     device = fc.DeviceParams(**{
         name: draw(st.floats(**_FINITE) if name in ("E_off", "Q_fix_depl") else _POSITIVE)
         for name in PARAM_FIELDS})
-    overrides = tuple((key, draw(_values(spec))) for key, spec in MC_OVERRIDE_KEYS.items()
-                      if draw(st.booleans()))
-    mc = McSpec(**{key: draw(_values(spec)) for key, spec in MC_KEYS.items()},
-                overrides=overrides)
+    mc = McSpec()
+    if kind == "mc":
+        overrides = tuple((key, draw(_values(spec))) for key, spec in MC_OVERRIDE_KEYS.items()
+                          if draw(st.booleans()))
+        mc = McSpec(**{key: draw(_values(spec)) for key, spec in MC_KEYS.items()},
+                    overrides=overrides)
     out_dir = draw(st.none() | st.from_regex(r"[A-Za-z0-9_./-]{0,12}", fullmatch=True))
     s = Scenario(kind, device=device, mc=mc, out_dir=out_dir)
     d = s.drive = {key: draw(_values(spec)) for key, spec in _drive_table(s, None).items()}
