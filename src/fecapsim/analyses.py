@@ -37,6 +37,11 @@ KINETICS_DT = 1e-6
 PROGRAM_DT = 2e-7
 
 
+def hysteresis_dt(frequency: float) -> float:
+    """Default base step of a hysteresis or C-V sweep at *frequency*, s."""
+    return 1.0 / (frequency * HYSTERESIS_STEPS_PER_PERIOD)
+
+
 @dataclass
 class HysteresisResult:
     """Final-cycle loop of one device plus extracted metrics (SI units).
@@ -149,7 +154,7 @@ def hysteresis_batch(pb: ParamsBatch, amplitude, frequency: float,
     if n_cycles < 2:
         raise ValueError("n_cycles must be >= 2 (first cycle is the preset)")
     if cfg is None:
-        cfg = SolverConfig(dt=1.0 / (frequency * HYSTERESIS_STEPS_PER_PERIOD))
+        cfg = SolverConfig(dt=hysteresis_dt(frequency))
     wf = triangle(amplitude, frequency, n_cycles, mode=VOLTAGE)
     ts = run_transient_batch(pb, wf, cfg)
     return [_extract_hysteresis(ts.device(i), frequency, n_cycles, cfg.dt)
@@ -180,11 +185,10 @@ def switching_kinetics_batch(pb: ParamsBatch, amplitude, widths: Sequence[float]
     """
     cfg = replace(cfg or SolverConfig(dt=KINETICS_DT), record_every=10**9)
     amplitude = np.broadcast_to(np.asarray(amplitude, dtype=np.float64), (pb.n,))
-    preset_cfg = replace(
-        cfg, dt=min(preset_width / 500.0, cfg.dt) if preset_width > 0 else cfg.dt)
     wf_preset = from_segments(VOLTAGE, [
         (edge, preset_v), (preset_width, preset_v), (edge, 0.0), (settle, 0.0),
     ])
+    preset_cfg = replace(cfg, dt=min(preset_width / 500.0, cfg.dt))
     ts0 = run_transient_batch(pb, wf_preset, preset_cfg)
     st0 = batch_final_state(ts0)
     p_before = st0.p

@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .analyses import PROGRAM_DT
 from .montecarlo import _chunk_bounds, _map_chunks, _pool
 # The bench draws through montecarlo; this binding stays for tracers that
 # look up this module's names.
@@ -93,7 +94,7 @@ def run_array_bench(params: DeviceParams, sizes: Sequence[int],
     if any(n < 1 for n in sizes):
         raise ValueError("array sizes must be >= 1")
     wf = wf or bench_waveform()
-    cfg = replace(cfg or SolverConfig(dt=2e-7), record_every=10**9)
+    cfg = replace(cfg or SolverConfig(dt=PROGRAM_DT), record_every=10**9)
     report = BenchReport(
         dt=cfg.dt, chunk=chunk, workers=workers,
         machine=(f"{platform.platform()} | python {platform.python_version()}"

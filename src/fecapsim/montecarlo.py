@@ -22,9 +22,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .analyses import (
-    HYSTERESIS_STEPS_PER_PERIOD,
     current_program_batch,
     hysteresis_batch,
+    hysteresis_dt,
     switching_kinetics_batch,
 )
 from .params import DEFAULT_CHUNK, PARAM_FIELDS, DeviceParams, ParamsBatch, check_fields
@@ -222,7 +222,7 @@ def _record_rows(spec: ScenarioSpec) -> int:
     kinetics or program batch records only each run's first and last rows."""
     if spec.kind != "hysteresis":
         return 2
-    dt = spec.dt if spec.dt is not None else 1.0 / (spec.frequency * HYSTERESIS_STEPS_PER_PERIOD)
+    dt = spec.dt if spec.dt is not None else hysteresis_dt(spec.frequency)
     return triangle(spec.amplitude, spec.frequency, spec.n_cycles).time_grid(dt).size
 
 

@@ -28,7 +28,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional
 
-from .analyses import HYSTERESIS_STEPS_PER_PERIOD, KINETICS_DT, PROGRAM_DT
+from .analyses import KINETICS_DT, PROGRAM_DT, hysteresis_dt
 from .montecarlo import McDistribution, ParamDist
 from .params import DEFAULT_CHUNK, DeviceParams
 from .solver import SolverConfig
@@ -257,7 +257,7 @@ class Scenario:
         if kind in _DT_DEFAULTS:
             return _DT_DEFAULTS[kind]
         if kind in ("hysteresis", "cv"):
-            return 1.0 / (self.drive["frequency"] * HYSTERESIS_STEPS_PER_PERIOD)
+            return hysteresis_dt(self.drive["frequency"])
         if kind == "transient":
             times = self.drive["times"]
             return max((times[-1] - times[0]) / 1000.0, 1e-12)

@@ -38,10 +38,10 @@ The work per Newton iterate is kept to what the iterate needs: the residual
 (:func:`_make_residual`) returns the KCL mismatch and the branch quantities
 of the record row, and :func:`_row` forms V_appl or V_int, the terminal
 current and the loop residual once per accepted step. Per run, not per
-step or root-find, a run interpolates the drive at every base step in one
-vectorized call, fixes each device's KCL tolerance (:func:`_tol_i`, which
-the DC sweep uses too) and silences numpy's divide/invalid warnings
-(:data:`_QUIET`).
+step or root-find, a run interpolates the drive in one vectorized call (the
+table that the t = 0 split, every step and every half reads), fixes each
+device's KCL tolerance (:func:`_tol_i`, which the DC sweep uses too) and
+silences numpy's divide/invalid warnings (:data:`_QUIET`).
 
 A converged step yields one row of the record, a :class:`_StepAux` whose
 fields are derived from the :class:`TimeSeries` columns; its first four are
@@ -455,17 +455,17 @@ def _initial_state(k: Coeffs, v_app0: np.ndarray, p_init, t0: float) -> _State:
     return _State(p0, v_fe0, np.zeros(n), v_app0.astype(np.float64).copy())
 
 
-def _advance(k: Coeffs, st: _State, t0: float, dt, drive_end: np.ndarray, drive_at,
-             mode: str, cfg: SolverConfig, tol_i: np.ndarray, depth: int,
-             stats: SolveStats, cols: np.ndarray, guess=None):
+def _advance(k: Coeffs, st: _State, t0: float, dt, drive_start: np.ndarray,
+             drive_end: np.ndarray, mode: str, cfg: SolverConfig, tol_i: np.ndarray,
+             depth: int, stats: SolveStats, cols: np.ndarray, guess=None):
     """Advance every device by exactly *dt*, halving locally on failure.
 
-    Returns the converged step's :class:`_StepAux`. *k* and *drive_end*,
-    the drive at t0 + dt, are repeated over the trial rows, shape (2, n);
-    *tol_i* is per device. *guess* is the predicted start of the step's
-    root-finds (see :func:`_predict`); the halves of a failed step start
-    from their previous state and take their drive from
-    ``drive_at(t, cols)``.
+    Returns the converged step's :class:`_StepAux`. *k* and the drive at t0
+    and t0 + dt, *drive_start* and *drive_end*, are repeated over the trial
+    rows, shape (2, n); *tol_i* is per device. *guess* is the predicted
+    start of the step's root-finds (see :func:`_predict`); the halves of a
+    failed step start from their previous state and meet at the mean drive
+    of its ends, as no step crosses a breakpoint.
     """
     aux, conv, iters, evals = _solve_step(k, st, dt, drive_end, mode, cfg, tol_i, guess)
     stats.steps += 1
@@ -491,12 +491,12 @@ def _advance(k: Coeffs, st: _State, t0: float, dt, drive_end: np.ndarray, drive_
     sub_k = k.slice(bad)
     sub_st = _State(*(a[bad] for a in st))
     sub_tol, sub_cols = tol_i[bad], cols[bad]
+    start, end = drive_start[:, bad], drive_end[:, bad]
+    mid = _HALF * (start + end)
     half = 0.5 * dt
-    t_mid = t0 + half
-    aux_a = _advance(sub_k, sub_st, t0, half, _rows(drive_at(t_mid, sub_cols)),
-                     drive_at, mode, cfg, sub_tol, depth - 1, stats, sub_cols)
-    aux_b = _advance(sub_k, _State(*aux_a[:4]), t_mid, half,
-                     _rows(drive_at(t_mid + half, sub_cols)), drive_at, mode, cfg,
+    aux_a = _advance(sub_k, sub_st, t0, half, start, mid, mode, cfg, sub_tol,
+                     depth - 1, stats, sub_cols)
+    aux_b = _advance(sub_k, _State(*aux_a[:4]), t0 + half, half, mid, end, mode, cfg,
                      sub_tol, depth - 1, stats, sub_cols)
     return _scatter(aux, bad, aux_b)
 
@@ -535,9 +535,9 @@ def run_transient_batch(pb: ParamsBatch, wf: Waveform,
     current breakpoint interval; the prediction restarts at every
     breakpoint, where the drive's slope may change.
 
-    The drive at the end of every base step is interpolated in one call
-    before stepping: (steps,) or (steps, 1) values for a shared drive,
-    (steps, n) for a per-device one.
+    One call interpolates the drive at the first instant and at every base
+    step's end, t0 + dt, into a (steps + 1, n) table, repeating a shared
+    drive over the devices; the drive is linear inside a step.
 
     Rows are recorded on the base grid: the first instant, every
     ``record_every``-th step and the last instant. A step's row is its
@@ -557,19 +557,15 @@ def run_transient_batch(pb: ParamsBatch, wf: Waveform,
         raise ValueError("waveform device axis does not match batch size")
     grid = wf.time_grid(cfg.dt)
     n = pb.n
-    cols_all = np.arange(n)
     k = Coeffs.of(pb)
-    per_device = wf.values.ndim == 2 and wf.values.shape[1] > 1
-
-    def drive_at(t, cols):
-        v = wf.value_at(t, cols if per_device else None)
-        return np.broadcast_to(np.asarray(v, dtype=np.float64), (len(cols),))
+    dts = np.diff(grid)
+    drive = wf.value_at(np.concatenate([grid[:1], grid[:-1] + dts]))
+    drive = np.broadcast_to(drive.reshape(grid.size, -1), (grid.size, n))
 
     if init is not None:
         st = _State(*(np.asarray(a, dtype=np.float64).copy() for a in init))
     else:
-        v_drive0 = drive_at(grid[0], cols_all)
-        v_app0 = v_drive0 if wf.mode == VOLTAGE else np.zeros(n)
+        v_app0 = drive[0] if wf.mode == VOLTAGE else np.zeros(n)
         st = _initial_state(k, v_app0, cfg.p_init, grid[0])
 
     n_steps, every = grid.size - 1, cfg.record_every
@@ -592,19 +588,19 @@ def run_transient_batch(pb: ParamsBatch, wf: Waveform,
         j_fn, j_fn, zero)))
 
     k_trials = k._make(map(_rows, k))
-    tol_i = _tol_i(cfg.newton_tol_i, k.area)
-    dts = np.diff(grid)
-    drive = wf.value_at(grid[:-1] + dts)
+    tol_i, cols = _tol_i(cfg.newton_tol_i, k.area), np.arange(n)
     # Breakpoint interval of each base step.
     seg = np.searchsorted(wf.times, 0.5 * (grid[:-1] + grid[1:])).tolist()
+    drive_end = _rows(drive[0])
     for i in range(1, n_steps + 1):
         if i == 1 or seg[i - 1] != seg[i - 2]:
             hist = []
         hist = hist[-2:] + [st]
+        drive_start, drive_end = drive_end, _rows(drive[i])
         # dts[i - 1, ...] is a 0-d view: the step's dt as an array operand.
-        aux = _advance(k_trials, st, grid[i - 1], dts[i - 1, ...],
-                       np.full((2, n), drive[i - 1]), drive_at, wf.mode, cfg, tol_i,
-                       cfg.max_step_halvings, stats, cols_all, _predict(hist))
+        aux = _advance(k_trials, st, grid[i - 1], dts[i - 1, ...], drive_start, drive_end,
+                       wf.mode, cfg, tol_i, cfg.max_step_halvings, stats, cols,
+                       _predict(hist))
         st = _State(*aux[:4])
         if i == 1 and init is not None:
             # The drive may jump at t0 (a clamp after a current pulse), so
@@ -646,14 +642,10 @@ def solve_timestep(state: DeviceState, dt: float, drive_value: float,
     k = Coeffs.of(ParamsBatch.from_params(params, 1))
     st = _State(*(np.array([x], dtype=np.float64) for x in (
         state.p, state.v_fe, state.v_int, drive_value if mode == VOLTAGE else 0.0)))
-    stats = SolveStats()
-
-    def drive_at(t, cols):
-        return np.full(len(cols), drive_value)
-
-    new = _advance(k._make(map(_rows, k)), st, state.t, dt, np.full((2, 1), drive_value),
-                   drive_at, mode, cfg, _tol_i(cfg.newton_tol_i, k.area),
-                   cfg.max_step_halvings, stats, np.arange(1))
+    drive = np.full((2, 1), drive_value)
+    new = _advance(k._make(map(_rows, k)), st, state.t, dt, drive, drive, mode, cfg,
+                   _tol_i(cfg.newton_tol_i, k.area), cfg.max_step_halvings,
+                   SolveStats(), np.arange(1))
     return DeviceState(p=float(new.p[0]), v_fe=float(new.v_fe[0]),
                        v_int=float(new.v_int[0]), t=state.t + dt)
 

@@ -55,18 +55,16 @@ class Waveform:
     def t_end(self) -> float:
         return float(self.times[-1])
 
-    def value_at(self, t, cols=None):
+    def value_at(self, t):
         """Drive value at time *t* (scalar or array), end values held.
 
         For 2-D values, returns shape (n_devices,) for scalar *t* and
-        (len(t), n_devices) for a 1-D *t*; *cols* selects a device subset.
-        Both shapes interpolate with one formula, ``np.interp``'s: v_j at a
-        breakpoint t_j, and slope_j * (t - t_j) + v_j inside the interval
-        (t_j, t_j+1); so a drive given as 1-D values and as a single column
-        gives the same bits.
+        (len(t), n_devices) for a 1-D *t*. Both shapes interpolate with one
+        formula, ``np.interp``'s: v_j at a breakpoint t_j, and
+        slope_j * (t - t_j) + v_j inside the interval (t_j, t_j+1); so a
+        drive given as 1-D values and as a single column gives the same bits.
         """
-        vals = self.values if cols is None or self.values.ndim == 1 else self.values[:, cols]
-        times = self.times
+        vals, times = self.values, self.times
         # A zero slope past the last breakpoint holds the end value.
         slopes = np.concatenate([(np.diff(vals, axis=0).T / np.diff(times)).T,
                                  np.zeros_like(vals[:1])])

@@ -149,6 +149,11 @@ class TestSwitchingKinetics:
         pts = fc.switching_kinetics(params, [3.0], [1e-4])
         assert 0.0 <= pts[0].delta_p <= 2 * params.P_s
 
+    @pytest.mark.parametrize("width", [0.0, -1e-3])
+    def test_nonpositive_preset_width_rejected(self, params, width):
+        with pytest.raises(ValueError, match="segment durations must be > 0"):
+            fc.switching_kinetics(params, [3.0], [1e-6], preset_width=width)
+
 
 def _sampled_batch(base, n):
     dist = montecarlo.McDistribution.table_21c()

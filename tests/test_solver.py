@@ -1,13 +1,16 @@
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fecapsim as fc
 from fecapsim import analyses
 from fecapsim.arraybench import bench_waveform
 from fecapsim.params import ParamsBatch
-from fecapsim.solver import SolveStats, run_transient_batch
+from fecapsim.solver import SolveStats, batch_final_state, run_transient_batch
 from fecapsim.waveform import CURRENT, VOLTAGE, from_segments, hold, rect_pulse, triangle
 
 
@@ -160,29 +163,100 @@ def test_batch_matches_single_bitwise():
 def test_drive_table_matches_value_at_bitwise(params):
     # a run interpolates its drive for every step in one call; under voltage
     # drive the recorded V_appl is that drive, and each step's value must be
-    # Waveform.value_at at the step's end, t0 + dt, bit for bit
+    # Waveform.value_at at the step's end, t0 + dt, bit for bit - also on a
+    # halved step, whose second half ends on the step's own table value
     amps = np.array([1.0, 0.5, -0.7])
-    drives = {
+    smooth = {
         "1-D": from_segments(VOLTAGE, [(1e-6, 1.0), (1e-6, 0.0)]),
         "one column": from_segments(VOLTAGE, [(1e-6, [1.0]), (1e-6, [0.0])]),
         "per device": from_segments(VOLTAGE, [(1e-6, amps), (1e-6, 0.0 * amps)]),
     }
-    cfg = fc.SolverConfig(dt=1e-7)
-    cols = np.arange(amps.size)
+    halving = {
+        "1-D": triangle(3.0, 1e3, 1),
+        "one column": triangle([3.0], 1e3, 1),
+        "per device": triangle(np.array([3.0, 2.5, -3.0]), 1e3, 1),
+    }
+    runs = [(smooth, fc.SolverConfig(dt=1e-7), False),
+            (halving, fc.SolverConfig(dt=5e-5, max_newton_iters=6), True)]
     got = {}
-    for name, wf in drives.items():
-        ts = run_transient_batch(ParamsBatch.from_params(params, amps.size), wf, cfg)
-        grid = wf.time_grid(cfg.dt)
-        want = [np.broadcast_to(wf.value_at(t0 + (t1 - t0), cols if name == "per device"
-                                            else None), cols.shape)
-                for t0, t1 in zip(grid[:-1], grid[1:])]
-        assert ts.stats.halvings == 0
-        assert ts.v_appl[1:].tobytes() == np.array(want).tobytes(), name
-        got[name] = ts
+    for drives, cfg, halves in runs:
+        for name, wf in drives.items():
+            ts = run_transient_batch(ParamsBatch.from_params(params, amps.size), wf, cfg)
+            grid = wf.time_grid(cfg.dt)
+            want = [np.broadcast_to(wf.value_at(t0 + (t1 - t0)), amps.shape)
+                    for t0, t1 in zip(grid[:-1], grid[1:])]
+            assert (ts.stats.halvings > 0) == halves, name
+            assert ts.v_appl[1:].tobytes() == np.array(want).tobytes(), name
+            got[name, halves] = ts
     # 1-D values and a single column interpolate with one formula, so the
     # same drive in either form gives the same runs, bit for bit
-    for col, a in got["1-D"].columns().items():
-        assert a.tobytes() == getattr(got["one column"], col).tobytes(), col
+    for halves in (False, True):
+        for col, a in got["1-D", halves].columns().items():
+            assert a.tobytes() == getattr(got["one column", halves], col).tobytes(), col
+
+
+def test_value_at_called_once_per_run(params, monkeypatch):
+    # one drive table per run: the t = 0 split, every base step and every
+    # halved step read it, so a run interpolates its waveform exactly once
+    calls = []
+    value_at = fc.Waveform.value_at
+
+    def counted(self, t, *args, **kwargs):
+        calls.append(np.size(t))
+        return value_at(self, t, *args, **kwargs)
+
+    monkeypatch.setattr(fc.Waveform, "value_at", counted)
+    pb = ParamsBatch.from_params(params, 2)
+    fresh = run_transient_batch(pb, triangle(1.0, 1e3, 1), fc.SolverConfig(dt=1e-5))
+    assert fresh.stats.halvings == 0 and len(calls) == 1
+    halved = run_transient_batch(pb, triangle(np.array([3.0, -3.0]), 1e3, 1),
+                                 fc.SolverConfig(dt=5e-5, max_newton_iters=6))
+    assert halved.stats.halvings > 0 and len(calls) == 2
+    continued = run_transient_batch(pb, hold(0.0, 1e-5).shifted(1e-3),
+                                    fc.SolverConfig(dt=1e-6),
+                                    init=batch_final_state(fresh))
+    assert len(continued) == 11 and len(calls) == 3
+    # each call covers the first instant and every step's end
+    assert calls == [len(ts) for ts in (fresh, halved, continued)]
+
+
+# Five sampled devices under a per-device triangle that halves many steps.
+_PERM_AMPS = np.array([3.0, 2.5, -3.0, 2.0, 3.5])
+_PERM_CFG = fc.SolverConfig(dt=5e-5, max_newton_iters=6)
+
+
+@cache
+def _perm_devices():
+    rng = np.random.default_rng(21)
+    return tuple(fc.sample_params(fc.DeviceParams(area=25e-12),
+                                  fc.McDistribution.table_21c(), rng) for _ in range(5))
+
+
+def _perm_run(order):
+    devices = _perm_devices()
+    return run_transient_batch(ParamsBatch.from_list([devices[j] for j in order]),
+                               triangle(_PERM_AMPS[list(order)], 1e3, 2), _PERM_CFG)
+
+
+@cache
+def _perm_base():
+    return _perm_run(range(5))
+
+
+@settings(max_examples=10, deadline=None)
+@given(order=st.permutations(range(5)))
+def test_device_permutation_permutes_columns_bitwise(order):
+    # each device advances on its own, and a halved step takes its drive from
+    # the run's table sliced to the failing devices; so permuting the devices
+    # (with their drive columns) permutes every recorded column, bit for bit
+    base = _perm_base()
+    assert base.stats.halvings > 0
+    ts = _perm_run(order)
+    assert ts.stats == base.stats
+    assert ts.t.tobytes() == base.t.tobytes()
+    for name, a in base.columns().items():
+        if name != "t":
+            assert getattr(ts, name).tobytes() == a[:, list(order)].tobytes(), name
 
 
 def test_step_failure_carries_time_and_residuals(params):

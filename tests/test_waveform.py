@@ -78,8 +78,6 @@ def test_per_device_values():
     v = wf.value_at(0.25e-3)
     assert v.shape == (3,)
     assert np.allclose(v, amps)
-    sub = wf.value_at(0.25e-3, cols=np.array([2, 0]))
-    assert np.allclose(sub, [3.0, 1.0])
     # an array of times gives one row per time, each equal to its scalar call
     t = np.array([0.1e-3, 0.25e-3, 0.6e-3, 2e-3])
     rows = wf.value_at(t)
