@@ -22,8 +22,8 @@ from .arraybench import bench_waveform, run_array_bench
 from .montecarlo import McDistribution, McError, ScenarioSpec, run_mc
 from .params import DeviceParams
 from .quasistatic import DcConvergenceError, dc_sweep, small_signal_cv
-from .scenario import (MC_DRIVE_FIELDS, Scenario, ScenarioError, emit_scenario,
-                       parse_scenario)
+from .scenario import (DEVICE_KEYS, MC_DRIVE_FIELDS, Scenario, ScenarioError,
+                       emit_scenario, parse_scenario)
 from .solver import SolverConfig, StepFailureError, run_transient
 from .units import from_si
 from .waveform import Waveform, triangle
@@ -189,19 +189,22 @@ def _run_bench(scen: Scenario, out: Path, workers: int) -> None:
         print(f"{size:>8d} {wall:>10.3f} {steps:>10d} {iters:>10d} {fails:>5d}")
 
 
+# The unit `defaults` prints each device quantity in.
+_DISPLAY_UNITS = {
+    "area": "um2", "length": "nm", "none": "1", "energy": "eV", "field": "MV/cm",
+    "charge_density": "uC/cm2", "density": "cm-3", "voltage": "V",
+    "mobility": "m2/Vs", "temperature": "C",
+}
+
+
 def _print_defaults() -> None:
     p = DeviceParams()
-    rows = [
-        ("area", "um2"), ("t_fe", "nm"), ("t_int", "nm"), ("eps_fe", "1"),
-        ("eps_int", "1"), ("eps_depl", "1"), ("W_b", "eV"), ("d_e", "nm"),
-        ("E_off", "MV/cm"), ("P_s", "uC/cm2"), ("N_depl_dn", "cm-3"),
-        ("N_depl_up", "cm-3"), ("N_fe", "cm-3"), ("Q_fix_depl", "uC/cm2"),
-        ("m_eff_int", "1"), ("phi_b_int", "V"), ("phi_tr_fe", "V"),
-        ("mu_fe", "m2/Vs"), ("temperature", "C"),
-    ]
     print("# device defaults (woken-up device)")
-    for name, unit in rows:
-        print(f"{name:12s} = {from_si(getattr(p, name), unit):.6g} {unit}")
+    # DEVICE_KEYS are the fields in order, plus N_depl, which sets two.
+    for name, quantity in DEVICE_KEYS.items():
+        if name != "N_depl":
+            unit = _DISPLAY_UNITS[quantity]
+            print(f"{name:12s} = {from_si(getattr(p, name), unit):.6g} {unit}")
     print("\n# variability tables (mean / sigma)")
     for label, dist in (("21C", McDistribution.table_21c()),
                         ("85C", McDistribution.table_85c())):

@@ -15,7 +15,7 @@ the same chunk runner.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
@@ -138,17 +138,14 @@ def sample_params(base: DeviceParams, dist: McDistribution,
     Out-of-bounds draws are rejected and redrawn up to 100 times, then
     clamped; sigma = 0 entries take their mean without consuming the RNG.
     """
-    return replace(base, **_field_values(dist, [_truncated_normal(e, rng)
-                                                for e in dist.entries]))
+    return _draw_batch(base, dist, [rng]).device(0)
 
 
 def _draw_batch(base: DeviceParams, dist: McDistribution, rngs) -> ParamsBatch:
     """One :func:`sample_params` draw per generator in *rngs*, as one batch.
 
-    Each generator makes the same draws in the same order as
-    ``sample_params``, so device i equals ``sample_params(base, dist,
-    rngs[i])``; the drawn columns are checked once, with the error
-    ``DeviceParams`` gives.
+    Device i is drawn from ``rngs[i]`` alone, entry by entry; the drawn
+    columns are checked once, with the error ``DeviceParams`` gives.
     """
     draws = np.array([[_truncated_normal(e, rng) for e in dist.entries] for rng in rngs],
                      dtype=np.float64).reshape(len(rngs), len(dist.entries))

@@ -14,7 +14,10 @@ Each section has one key table of :class:`_Key` entries (quantity, default,
 type, least bound, allowed strings); one loop, :func:`_section`, parses and
 checks every section against its table, and one, :func:`_emit_section`,
 writes it back. Integer keys take integral values only and read integer
-literals exactly.
+literals exactly. A key takes the units of its quantity in
+:data:`fecapsim.units.UNITS`; a bare number is in the first, canonical one.
+The kinetics preset, the drive edges and the solver settings default to
+the analyses' and ``SolverConfig``'s own values.
 
 Parsing resolves every omitted field from the defaults (device defaults are
 the calibrated parameter table), so a parsed Scenario is fully concrete;
@@ -28,11 +31,13 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional
 
-from .analyses import KINETICS_DT, PROGRAM_DT, hysteresis_dt
+from .analyses import (KINETICS_DT, PRESET_SETTLE, PRESET_VOLTAGE, PRESET_WIDTH,
+                       PROGRAM_DT, hysteresis_dt)
 from .montecarlo import McDistribution, ParamDist
 from .params import DEFAULT_CHUNK, DeviceParams
 from .solver import SolverConfig
-from .units import UnitError, to_si
+from .units import UNITS, to_si
+from .waveform import DEFAULT_EDGE
 
 KINDS = ("hysteresis", "kinetics", "cv", "iv", "program", "transient", "mc", "bench")
 MC_SUB_KINDS = ("hysteresis", "kinetics", "program")
@@ -44,25 +49,6 @@ class ScenarioError(ValueError):
     def __init__(self, message: str, line: Optional[int] = None):
         self.line = line
         super().__init__(f"line {line}: {message}" if line is not None else message)
-
-
-# Allowed units per quantity; the first entry is the canonical (SI) unit
-# used for emission.
-_QUANTITY_UNITS = {
-    "length": ("m", "nm", "um", "cm"),
-    "area": ("m2", "um2", "cm2"),
-    "time": ("s", "ns", "us", "ms"),
-    "voltage": ("V", "mV"),
-    "current": ("A", "pA", "nA", "uA", "mA"),
-    "frequency": ("Hz", "kHz", "MHz"),
-    "charge_density": ("C/m2", "uC/cm2"),
-    "field": ("V/m", "MV/cm", "kV/cm"),
-    "density": ("m-3", "cm-3"),
-    "energy": ("J", "eV"),
-    "mobility": ("m2/Vs", "cm2/Vs"),
-    "temperature": ("K", "C"),
-    "none": ("", "1"),
-}
 
 
 class _Key(NamedTuple):
@@ -120,10 +106,10 @@ DRIVE_KEYS = {
     "kinetics": {
         "amplitudes": _Key("voltage", (1.0, 1.5, 2.0, 2.5, 3.0), list),
         "widths": _Key("time", _KINETICS_WIDTHS, list, _POSITIVE),
-        "preset": _Key("voltage", -3.0),
-        "preset_width": _Key("time", 1e-3, float, _POSITIVE),
-        "settle": _Key("time", 1e-6, float, _POSITIVE),
-        "edge": _Key("time", 1e-8, float, _POSITIVE),
+        "preset": _Key("voltage", PRESET_VOLTAGE),
+        "preset_width": _Key("time", PRESET_WIDTH, float, _POSITIVE),
+        "settle": _Key("time", PRESET_SETTLE, float, _POSITIVE),
+        "edge": _Key("time", DEFAULT_EDGE, float, _POSITIVE),
     },
     "iv": {
         "v_start": _Key("voltage", 0.0),
@@ -137,7 +123,7 @@ DRIVE_KEYS = {
         "discharge": _Key("none", True, bool),
         "gap": _Key("time", 3e-5, float, _POSITIVE),
         "max_discharge": _Key("time", 3e-5, float, _POSITIVE),
-        "edge": _Key("time", 1e-8, float, _POSITIVE),
+        "edge": _Key("time", DEFAULT_EDGE, float, _POSITIVE),
     },
     "transient": {
         "mode": _Key("none", "voltage", str, choices=("voltage", "current")),
@@ -151,7 +137,7 @@ DRIVE_KEYS = {
         "width": _Key("time", 1e-5, float, _POSITIVE),
         "t_total": _Key("time", 3e-5, float, _POSITIVE),
         "chunk": _Key("none", DEFAULT_CHUNK, int, _AT_LEAST_1),
-        "edge": _Key("time", 1e-8, float, _POSITIVE),
+        "edge": _Key("time", DEFAULT_EDGE, float, _POSITIVE),
     },
 }
 
@@ -166,15 +152,16 @@ _MC_DRIVE_TABLES = {sub: {key: DRIVE_KEYS[sub][key] for key in fields}
                     for sub, fields in MC_DRIVE_FIELDS.items()}
 _MC_DRIVE_TABLES["kinetics"]["amplitudes"] = _Key("voltage", 1.0)
 
-# Each key is checked on its own by SolverConfig.
+# Each key is checked on its own by SolverConfig, and defaults as it does,
+# except dt, which defaults per kind (Scenario.solver_config).
 SOLVER_KEYS = {
     "dt": _Key("time"),
-    "newton_tol_v": _Key("voltage", 1e-9),
-    "newton_tol_i": _Key("current"),
-    "max_newton_iters": _Key("none", 20, int),
-    "max_step_halvings": _Key("none", 12, int),
-    "p_init": _Key("none", 0.0),
-    "record_every": _Key("none", 1, int),
+    "newton_tol_v": _Key("voltage", SolverConfig.newton_tol_v),
+    "newton_tol_i": _Key("current", SolverConfig.newton_tol_i),
+    "max_newton_iters": _Key("none", SolverConfig.max_newton_iters, int),
+    "max_step_halvings": _Key("none", SolverConfig.max_step_halvings, int),
+    "p_init": _Key("none", SolverConfig.p_init),
+    "record_every": _Key("none", SolverConfig.record_every, int),
 }
 
 MC_KEYS = {
@@ -314,18 +301,13 @@ def _split_unit(text: str):
 
 
 def _to_si_checked(value: float, unit: str, quantity: str, key: str, line: int):
-    allowed = _QUANTITY_UNITS[quantity]
-    if unit == "" and quantity != "none":
-        unit = allowed[0]
-    if unit not in allowed and not (quantity == "none" and unit == ""):
+    """*value* in SI; a bare number is in its quantity's canonical unit."""
+    allowed = UNITS[quantity]
+    unit = unit or next(iter(allowed))
+    if unit not in allowed:
         raise ScenarioError(f"unit '{unit}' not valid for {key} "
                             f"(expected one of {', '.join(u for u in allowed if u)})", line)
-    if quantity == "none":
-        return value
-    try:
-        return to_si(value, unit)
-    except UnitError as err:
-        raise ScenarioError(f"{key}: {err}", line) from None
+    return value if quantity == "none" else to_si(value, unit)
 
 
 def _number(tok: str, integer: bool):
@@ -499,7 +481,7 @@ def _emit_section(name: str, table: dict, values: dict) -> str:
     for key, spec in table.items():
         if values.get(key) is None:
             continue
-        unit = _QUANTITY_UNITS[spec.quantity][0] if spec.pytype in (float, list) else ""
+        unit = next(iter(UNITS[spec.quantity])) if spec.pytype in (float, list) else ""
         lines.append(f"{key} = {_fmt(values[key])}{' ' + unit if unit else ''}")
     return "\n".join(lines) + "\n"
 

@@ -4,6 +4,11 @@ from pathlib import Path
 
 import pytest
 
+from fecapsim.cli import _DISPLAY_UNITS
+from fecapsim.params import PARAM_FIELDS, DeviceParams
+from fecapsim.scenario import DEVICE_KEYS
+from fecapsim.units import UNITS, from_si
+
 
 def run_cli(*args):
     cmd = [sys.executable, "-m", "fecapsim", *args]
@@ -22,6 +27,14 @@ def test_defaults_prints_tables():
     assert "P_s" in cp.stdout
     assert "27 uC/cm2" in cp.stdout
     assert "85C" in cp.stdout
+    # Every device field once, in field order, in its quantity's display unit.
+    device = cp.stdout.split("\n\n")[0].splitlines()[1:]
+    assert [line.split()[0] for line in device] == list(PARAM_FIELDS)
+    for line in device:
+        name, _, value, unit = line.split()
+        quantity = DEVICE_KEYS[name]
+        assert unit == _DISPLAY_UNITS[quantity] and unit in UNITS[quantity]
+        assert value == f"{from_si(getattr(DeviceParams(), name), unit):.6g}"
 
 
 def test_unknown_command_exit_1():

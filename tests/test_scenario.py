@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -21,10 +22,12 @@ from fecapsim.scenario import (
     Scenario,
     ScenarioError,
     _drive_table,
+    _Key,
     _solver_table,
     emit_scenario,
     parse_scenario,
 )
+from fecapsim.units import UNITS, to_si
 
 
 def test_empty_device_section_gives_table_defaults():
@@ -225,6 +228,49 @@ def test_readme_lists_every_drive_key():
     mc = dict(part.split(": ") for part in rows["mc"].split("; "))
     assert {sub: keys.split(", ") for sub, keys in mc.items()} == {
         sub: list(keys) for sub, keys in MC_DRIVE_FIELDS.items()}
+
+
+def test_readme_lists_every_unit():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("Units per quantity:")[1].split("\n\n")[1]
+    rows = {}
+    for row in table.splitlines()[2:]:
+        quantity, units = (cell.strip() for cell in row.strip("|").split("|"))
+        rows[quantity] = units.split(", ")
+    assert rows == {quantity: [u for u in units if u] for quantity, units in UNITS.items()}
+
+
+def _key_per_quantity():
+    """quantity -> (section, key) of the first hysteresis key measuring it;
+    N_depl is skipped, as it sets two device fields."""
+    tables = (("device", {key: _Key(q) for key, q in DEVICE_KEYS.items() if key != "N_depl"}),
+              ("drive", DRIVE_KEYS["hysteresis"]), ("solver", SOLVER_KEYS))
+    keys = {}
+    for section, table in tables:
+        for key, spec in table.items():
+            keys.setdefault(spec.quantity, (section, key))
+    return keys
+
+
+def test_every_unit_parses_only_for_its_quantity():
+    # A trailing "1" is read as a digit of the value, never as a unit.
+    written = {quantity: [u for u in units if u != "1"] for quantity, units in UNITS.items()}
+    keys = _key_per_quantity()
+    assert set(keys) == set(UNITS)
+    for quantity, (section, key) in keys.items():
+        for unit in written[quantity]:
+            s = parse_scenario(f"[{section}]\n{key} = 2 {unit}\n", "hysteresis")
+            got = {"device": asdict(s.device), "drive": s.drive, "solver": s.solver}[section][key]
+            assert got == (2.0 if quantity == "none" else to_si(2.0, unit))
+        allowed = ", ".join(u for u in UNITS[quantity] if u)
+        for other, units in written.items():
+            for unit in units:
+                if other == quantity or not unit:
+                    continue
+                with pytest.raises(ScenarioError) as err:
+                    parse_scenario(f"[{section}]\n{key} = 2 {unit}\n", "hysteresis")
+                assert str(err.value) == (f"line 2: unit '{unit}' not valid for {key} "
+                                          f"(expected one of {allowed})")
 
 
 _FINITE = dict(allow_nan=False, allow_infinity=False)
